@@ -36,24 +36,20 @@ from .fermion import (
 )
 from .fock import (
     FockRep,
-    SpectralProjectors,
     averaged_unitary_moments,
     check_heisenberg_reduction,
     jordan_wigner,
     project_superoperator,
     quadratize,
-    spectral_projectors,
 )
 from .linalg import (
     HermitianEigenDecomposition,
     hermitian_eigendecompose,
-    kron,
     kron_sum,
     matrix_exponential,
 )
 from .perturbation import (
     TimeLocalGenerator,
-    apply_ad_function,
     general_kappa,
     interaction_hI,
     kappa12,
@@ -62,7 +58,6 @@ from .perturbation import (
     mu_k_quadrature,
 )
 from .projector import (
-    ProjectedMatrix,
     ResonancePartition,
     effective_propagator,
     numeric_time_average,

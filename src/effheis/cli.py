@@ -2,7 +2,7 @@
 
     effheis <validate|evolve|verify|order-study|boson-check> --config FILE
             [--out FILE] [--csv FILE] [--order K] [--lambdas L1,L2,...]
-            [--jobs N] [--seed S] [--expect-stable]
+            [--seed S] [--expect-stable]
 
 Exit codes: 0 ok, 1 runtime error, 2 config error, 3 validation failure,
 4 verification failure, 5 failed expectation.
@@ -14,21 +14,14 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import linalg
 from .boson import divergence_demo, stability_check
 from .config import ModelConfig, encode_matrix, load_config
-from .dynamics import (
-    ORDER_STUDY_MAX_DT,
-    TimeGrid,
-    compare,
-    exact_series,
-    integrate_time_local,
-)
-from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes
+from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, order_estimate
+from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
 from .perturbation import kappa12
 from .verify import run_verification
 
@@ -140,35 +133,14 @@ def cmd_order_study(cfg: ModelConfig, args) -> tuple[dict, int]:
     lambdas = [float(x) for x in args.lambdas.split(",")]
     if len(lambdas) < 3:
         raise ConfigError("order-study needs at least 3 coupling values")
-    split = cfg.split()
     grid = TimeGrid(t_end=cfg.grid_t_end, steps=cfg.grid_steps)
     order = int(args.order) if args.order not in (None, "exact") else 2
-
-    def error_for(lam: float) -> float:
-        from dataclasses import replace
-
-        split_lam = replace(split, coupling=lam)
-        exact = exact_series(split_lam, cfg.m, grid, cfg.resonance_tol)
-        approx = integrate_time_local(
-            kappa12(split_lam, cfg.m, cfg.resonance_tol),
-            order,
-            grid,
-            max_dt=ORDER_STUDY_MAX_DT,
-        )
-        return compare(exact, approx)["sup_error"]
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            errors = list(pool.map(error_for, lambdas))
-    else:
-        errors = [error_for(lam) for lam in lambdas]
-    payload = {"order": order, "lambdas": lambdas, "errors": errors}
-    if all(e < 1e-13 for e in errors):
-        payload["degenerate_fit"] = True
-        payload["slope"] = None
-    else:
-        payload["degenerate_fit"] = False
-        payload["slope"] = float(np.polyfit(np.log(lambdas), np.log(errors), 1)[0])
+    payload = {"order": order, "lambdas": lambdas}
+    try:
+        fit = order_estimate(cfg.split(), cfg.m, grid, lambdas, order, cfg.resonance_tol)
+        payload.update(errors=fit["errors"], degenerate_fit=False, slope=fit["slope"])
+    except DegenerateFit as exc:
+        payload.update(errors=exc.errors, degenerate_fit=True, slope=None)
     return payload, EXIT_OK
 
 
@@ -205,14 +177,6 @@ COMMANDS = {
     "boson-check": cmd_boson_check,
 }
 
-VALIDATION_ERRORS = (
-    "NotAntisymmetric",
-    "NotTildeAntisymmetric",
-    "NotSymmetric",
-    "NotTildeSymmetric",
-    "NotHermitian",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effheis", description=__doc__)
@@ -222,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", default=None)
     parser.add_argument("--order", default="2", help="exact, 1 or 2")
     parser.add_argument("--lambdas", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--expect-stable", action="store_true")
     return parser
@@ -242,9 +205,8 @@ def main(argv=None) -> int:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EffheisError as exc:
-        name = type(exc).__name__
-        print(f"{name}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION if name in VALIDATION_ERRORS else EXIT_RUNTIME
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_RUNTIME
     _emit(_report(args.command, cfg, payload, t0), args.out)
     return code
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .boson import BosonHamiltonian, validate_boson
-from .errors import ConfigError, EffheisError
+from .errors import ConfigError, IndexOutOfRange
 from .fermion import FermionHamiltonian, SplitHamiltonian, diagonal_modes, hopping, validate_fermion
 
 DEFAULT_TOLERANCES = {"resonance": 1e-9, "report": None}
@@ -36,6 +37,25 @@ def decode_matrix(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _frequencies(spec, n: int) -> list:
+    omega = spec["frequencies"]
+    if not isinstance(omega, list) or len(omega) != n:
+        raise ConfigError(f"expected a list of {n} frequencies, got {omega!r}")
+    return [_number(w, "frequency") for w in omega]
+
+
 def _build_fermion(spec, n: int) -> FermionHamiltonian:
     if not isinstance(spec, dict):
         raise ConfigError("Hamiltonian spec must be an object")
@@ -45,13 +65,16 @@ def _build_fermion(spec, n: int) -> FermionHamiltonian:
     if "matrix" in spec:
         return validate_fermion(decode_matrix(spec["matrix"]), n)
     if "frequencies" in spec:
-        omega = spec["frequencies"]
-        if len(omega) != n:
-            raise ConfigError(f"expected {n} frequencies, got {len(omega)}")
-        return diagonal_modes(omega)
+        return diagonal_modes(_frequencies(spec, n))
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     for term in spec["hopping"]:
-        H = H + hopping(n, int(term["j"]), int(term["k"]), float(term["g"])).H
+        if not isinstance(term, dict) or not {"j", "k", "g"} <= set(term):
+            raise ConfigError(f"hopping term needs j, k and g, got {term!r}")
+        j, k = _integer(term["j"], "hopping j", 1), _integer(term["k"], "hopping k", 1)
+        try:
+            H = H + hopping(n, j, k, _number(term["g"], "hopping g")).H
+        except IndexOutOfRange as exc:
+            raise ConfigError(f"hopping term: {exc}") from exc
     return validate_fermion(H, n)
 
 
@@ -59,10 +82,7 @@ def _build_boson_matrix(spec, n: int) -> np.ndarray:
     if "matrix" in spec:
         return decode_matrix(spec["matrix"])
     if "frequencies" in spec:
-        omega = np.asarray(spec["frequencies"], dtype=float)
-        if len(omega) != n:
-            raise ConfigError(f"expected {n} frequencies, got {len(omega)}")
-        W = np.diag(omega).astype(complex)
+        W = np.diag(_frequencies(spec, n)).astype(complex)
         zero = np.zeros((n, n), dtype=complex)
         return np.block([[zero, W], [W, zero]])
     raise ConfigError("boson Hamiltonian spec needs matrix or frequencies")
@@ -111,31 +131,29 @@ class ModelConfig:
 def parse_config(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    try:
-        n = int(data["n"])
-    except KeyError:
+    if "n" not in data:
         raise ConfigError("config is missing 'n'")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    m = int(data.get("m", 1))
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    coupling = data.get("lambda", 0.0)
-    if isinstance(coupling, bool) or not isinstance(coupling, (int, float)):
-        raise ConfigError("lambda must be real")
     grid = data.get("grid", {})
+    if not isinstance(grid, dict) or not isinstance(data.get("tolerances", {}), dict):
+        raise ConfigError("grid and tolerances must be objects")
+    t_end = _number(grid.get("t_end", 1.0), "grid.t_end")
+    if t_end <= 0:
+        raise ConfigError(f"grid.t_end must be positive, got {t_end!r}")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(data.get("tolerances", {}))
+    for key in DEFAULT_TOLERANCES:
+        if tolerances[key] is not None:
+            _number(tolerances[key], f"tolerances.{key}")
     return ModelConfig(
-        n=n,
-        m=m,
-        coupling=float(coupling),
+        n=_integer(data["n"], "n", 1),
+        m=_integer(data.get("m", 1), "m", 1),
+        coupling=_number(data.get("lambda", 0.0), "lambda"),
         H0_spec=data.get("H0"),
         HI_spec=data.get("HI"),
-        grid_t_end=float(grid.get("t_end", 1.0)),
-        grid_steps=int(grid.get("steps", 200)),
+        grid_t_end=t_end,
+        grid_steps=_integer(grid.get("steps", 200), "grid.steps", 1),
         tolerances=tolerances,
-        seed=int(data.get("seed", 0)),
+        seed=_integer(data.get("seed", 0), "seed", 0),
         boson=data.get("boson"),
         raw=data,
     )

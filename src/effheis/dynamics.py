@@ -17,12 +17,17 @@ from .perturbation import TimeLocalGenerator, kappa12
 from .projector import (
     DEFAULT_RESONANCE_TOL,
     free_moment_generator_hermitian,
-    project,
+    project_with,
+    resonance_partition,
 )
 
 DEFAULT_MAX_DT = 1e-2
-# order studies need the RK4 floor below the 1e-13 round-off threshold
+# order studies need the RK4 floor far below the coupling-dependent errors
 ORDER_STUDY_MAX_DT = 1e-3
+# an order study is degenerate when every error sits below round-off or
+# below this multiple of the RK4 floor of the free evolution
+ROUND_OFF = 1e-13
+FLOOR_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -65,15 +70,17 @@ def exact_series(
     M0 = free_moment_generator_hermitian(split, m)
     # h is anti-Hermitian: diagonalize once, exponentiate per grid point
     h_eig = linalg.hermitian_eigendecompose(1j * h)
-    part = project(np.eye(h.shape[0]), M0, tol).partition
+    partition = resonance_partition(M0, tol)
     values = []
     for t in grid.times:
         phases = np.exp(-1j * h_eig.eigenvalues * t)
-        expht = (h_eig.basis * phases) @ h_eig.basis.conj().T
-        Y = part.decomposition.to_eigenbasis(expht)
-        Y[~part.mask] = 0.0
-        values.append(part.decomposition.from_eigenbasis(Y))
+        values.append(project_with((h_eig.basis * phases) @ h_eig.basis.conj().T, partition))
     return PropagatorSeries(grid=grid, values=values, label="exact")
+
+
+def _substeps(grid: TimeGrid, max_dt: float) -> int:
+    """RK4 substeps per grid interval that keep the step at or below max_dt."""
+    return max(1, math.ceil(grid.dt / max_dt))
 
 
 def integrate_time_local(
@@ -88,7 +95,7 @@ def integrate_time_local(
     max_dt; raises StepTooLarge if max_abs(l(t)) * dt > 1 at any node.
     """
     dim = gen.h0.shape[0]
-    substeps = max(1, math.ceil(grid.dt / max_dt))
+    substeps = _substeps(grid, max_dt)
     dt = grid.dt / substeps
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
@@ -133,8 +140,11 @@ def order_estimate(
     """Least-squares slope of log(sup error) vs log(lambda).
 
     Errors are between the exact projected propagator and the order-truncated
-    time-local integration; raises DegenerateFit when every error sits at
-    round-off (exactly solvable models).
+    time-local integration.  On an exactly solvable model they carry no
+    coupling dependence, only the RK4 truncation of the free evolution,
+    t_end * rho^5 * dt^4 / 120 with rho the spectral radius of M0 and dt the
+    RK4 substep; raises DegenerateFit when every error sits below
+    FLOOR_MARGIN times that floor (or below ROUND_OFF).
     """
     lambdas = list(lambdas)
     if len(lambdas) < 3:
@@ -147,7 +157,11 @@ def order_estimate(
             kappa12(split_lam, m, tol), order, grid, max_dt=ORDER_STUDY_MAX_DT
         )
         errors.append(compare(exact, approx)["sup_error"])
-    if all(e < 1e-13 for e in errors):
-        raise DegenerateFit("all errors at round-off; model is exactly solvable")
+    # M0 = kron_sum(E H0, m): its spectral radius is m times that of E H0
+    rho = m * float(np.max(np.abs(np.linalg.eigvalsh(split.base.single_particle_generator()))))
+    dt = grid.dt / _substeps(grid, ORDER_STUDY_MAX_DT)
+    cut = max(ROUND_OFF, FLOOR_MARGIN * grid.t_end * rho**5 * dt**4 / 120)
+    if max(errors) < cut:
+        raise DegenerateFit(f"all errors below {cut:.1e}; model is exactly solvable", errors)
     slope = float(np.polyfit(np.log(lambdas), np.log(errors), 1)[0])
     return {"slope": slope, "lambdas": lambdas, "errors": errors}

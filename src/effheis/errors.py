@@ -5,27 +5,27 @@ class EffheisError(Exception):
     """Base class for all library errors."""
 
 
-class NotHermitian(EffheisError):
+class ValidationError(EffheisError):
+    """A matrix violates a structural constraint of its Hamiltonian class."""
+
+
+class NotHermitian(ValidationError):
     pass
 
 
-class NotSymmetric(EffheisError):
+class NotSymmetric(ValidationError):
     pass
 
 
-class NotAntisymmetric(EffheisError):
+class NotAntisymmetric(ValidationError):
     pass
 
 
-class NotTildeAntisymmetric(EffheisError):
+class NotTildeAntisymmetric(ValidationError):
     pass
 
 
-class NotTildeSymmetric(EffheisError):
-    pass
-
-
-class NoConvergence(EffheisError):
+class NotTildeSymmetric(ValidationError):
     pass
 
 
@@ -62,7 +62,11 @@ class GridMismatch(EffheisError):
 
 
 class DegenerateFit(EffheisError):
-    pass
+    """Every error of an order study sits at the integrator's floor."""
+
+    def __init__(self, message: str, errors: list):
+        super().__init__(message)
+        self.errors = errors
 
 
 class ConfigError(EffheisError):

@@ -14,10 +14,10 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, TooManyModes
 from .fermion import FermionHamiltonian, heisenberg_matrix
+from .projector import DEFAULT_RESONANCE_TOL, resonance_partition
 
 MAX_MODES = 6
 MAX_SUPEROP_MODES = 3
-CLUSTER_TOL = 1e-9
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -74,33 +74,6 @@ def quadratize(K: FermionHamiltonian, rep: FockRep) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
-class SpectralProjectors:
-    """Clustered eigenvalues of a Hermitian operator with their projectors."""
-
-    eigenvalues: np.ndarray  # one representative per cluster
-    projectors: tuple
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
-
-
-def spectral_projectors(H0hat: np.ndarray, tol: float = CLUSTER_TOL) -> SpectralProjectors:
-    eig = linalg.hermitian_eigendecompose(H0hat)
-    w, V = eig.eigenvalues, eig.basis
-    spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
-    gap = tol * (1.0 + spread)
-    values, projectors = [], []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            block = V[:, start:i]
-            values.append(float(np.mean(w[start:i])))
-            projectors.append(block @ block.conj().T)
-            start = i
-    return SpectralProjectors(eigenvalues=np.array(values), projectors=tuple(projectors))
-
-
 def _check_superop_modes(dim: int):
     n = int(round(np.log2(dim)))
     if 2**n != dim:
@@ -110,7 +83,7 @@ def _check_superop_modes(dim: int):
 
 
 def project_superoperator(
-    Phi: np.ndarray, H0hat: np.ndarray, tol: float = CLUSTER_TOL
+    Phi: np.ndarray, H0hat: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL
 ) -> np.ndarray:
     """Averaging projection of a superoperator given as a dim-4^n matrix.
 
@@ -124,15 +97,13 @@ def project_superoperator(
     Phi = linalg.as_matrix(Phi)
     if Phi.shape[0] != d * d:
         raise DimensionMismatch(f"superoperator dim {Phi.shape[0]} != {d * d}")
-    spec = spectral_projectors(H0hat, tol)
-    e = spec.eigenvalues
-    spread = float(e.max() - e.min()) if len(e) > 1 else 0.0
-    gap = tol * (1.0 + spread)
+    part = resonance_partition(H0hat, tol)
+    e, projectors, gap = part.cluster_values, part.projectors, part.gap
     out = np.zeros_like(Phi)
-    for i1, P1 in enumerate(spec.projectors):
-        for i2, P2 in enumerate(spec.projectors):
-            for i3, P3 in enumerate(spec.projectors):
-                for i4, P4 in enumerate(spec.projectors):
+    for i1, P1 in enumerate(projectors):
+        for i2, P2 in enumerate(projectors):
+            for i3, P3 in enumerate(projectors):
+                for i4, P4 in enumerate(projectors):
                     if abs(e[i1] - e[i2] + e[i3] - e[i4]) <= gap:
                         out += np.kron(P4.T, P1) @ Phi @ np.kron(P3.T, P2)
     return out
@@ -148,7 +119,7 @@ def averaged_unitary_moments(
     H0hat: np.ndarray,
     operators,
     t: float,
-    tol: float = CLUSTER_TOL,
+    tol: float = DEFAULT_RESONANCE_TOL,
     numeric: bool = False,
     numeric_T: float = 200.0,
     numeric_steps: int = 20000,
@@ -180,16 +151,14 @@ def averaged_unitary_moments(
             weight = 0.5 if idx in (0, len(s_grid) - 1) else 1.0
             acc += weight * (Ms @ X @ Ms.conj().T)
         return acc / (numeric_steps - 1)
-    spec = spectral_projectors(H0hat, tol)
-    e = spec.eigenvalues
-    spread = float(e.max() - e.min()) if len(e) > 1 else 0.0
-    gap = tol * (1.0 + spread)
+    part = resonance_partition(H0hat, tol)
+    e, projectors, gap = part.cluster_values, part.projectors, part.gap
     out = np.zeros_like(X)
-    for a, Pa in enumerate(spec.projectors):
-        for b, Pb in enumerate(spec.projectors):
+    for a, Pa in enumerate(projectors):
+        for b, Pb in enumerate(projectors):
             left = Pa @ M @ Pb
-            for c, Pc in enumerate(spec.projectors):
-                for d_, Pd in enumerate(spec.projectors):
+            for c, Pc in enumerate(projectors):
+                for d_, Pd in enumerate(projectors):
                     if abs((e[a] - e[b]) + (e[c] - e[d_])) <= gap:
                         out += left @ X @ (Pc @ M.conj().T @ Pd)
     return out

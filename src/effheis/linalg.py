@@ -115,15 +115,6 @@ def matrix_exponential(A: np.ndarray, norm_cap: float = EXP_NORM_CAP) -> np.ndar
     return scipy.linalg.expm(A)
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product with the global dimension cap."""
-    A, B = as_matrix(A), as_matrix(B)
-    out_dim = A.shape[0] * B.shape[0]
-    if out_dim > dim_cap():
-        raise DimensionOverflow(f"product dimension {out_dim} exceeds cap {dim_cap()}")
-    return np.kron(A, B)
-
-
 def kron_sum(K: np.ndarray, m: int) -> np.ndarray:
     """Sum of one-slot embeddings of K into m tensor factors.
 

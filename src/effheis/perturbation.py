@@ -22,7 +22,6 @@ from .projector import (
     DEFAULT_RESONANCE_TOL,
     ResonancePartition,
     free_moment_generator_hermitian,
-    project_with,
     resonance_partition,
 )
 
@@ -68,72 +67,22 @@ def interaction_hI(hI: np.ndarray, h0: np.ndarray, t: float) -> np.ndarray:
     return linalg.matrix_exponential(-h0 * t) @ hI @ linalg.matrix_exponential(h0 * t)
 
 
-def apply_ad_function(hI: np.ndarray, M: np.ndarray, t: float, kind: str) -> np.ndarray:
-    """Evaluate F(t [h0, .]) hI with h0 = -iM, F = psi or phi."""
-    eig = linalg.hermitian_eigendecompose(M)
-    hI = linalg.as_matrix(hI)
-    if hI.shape[0] != eig.dim:
-        raise DimensionMismatch("hI and M dimensions differ")
-    delta = -1j * (eig.eigenvalues[:, None] - eig.eigenvalues[None, :])
-    Y = eig.to_eigenbasis(hI) * spectral_function(delta, t, kind)
-    return eig.from_eigenbasis(Y)
-
-
-@dataclass(frozen=True)
-class MomentFrame:
-    """Eigenbasis workspace shared by the perturbative formulas."""
-
-    split: SplitHamiltonian
-    order: int
-    partition: ResonancePartition
-    hI_eig: np.ndarray  # interaction moment generator, in M0's eigenbasis
-    delta: np.ndarray  # commutator eigenvalues -i(lam_a - lam_b)
-
-    @property
-    def M0(self) -> np.ndarray:
-        eig = self.partition.decomposition
-        return eig.from_eigenbasis(np.diag(self.partition.eigenvalues))
-
-    def h0(self) -> np.ndarray:
-        return -1j * self.M0
-
-    def hI(self) -> np.ndarray:
-        return self.partition.decomposition.from_eigenbasis(self.hI_eig)
-
-    def hI_at(self, t: float) -> np.ndarray:
-        """Interaction-picture hI(t) in the eigenbasis (entrywise phases)."""
-        return self.hI_eig * np.exp(-t * self.delta)
-
-    def project_eig(self, Y: np.ndarray) -> np.ndarray:
-        """Averaging projection of an eigenbasis matrix, back in the original basis."""
-        out = Y.copy()
-        out[~self.partition.mask] = 0.0
-        return self.partition.decomposition.from_eigenbasis(out)
-
-
-def moment_frame(
+def resonance_frame(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
-) -> MomentFrame:
-    M0 = free_moment_generator_hermitian(split, m)
-    partition = resonance_partition(M0, tol)
-    eig = partition.decomposition
+) -> tuple[ResonancePartition, np.ndarray]:
+    """Resonance partition of the free moment generator M0, and the
+    interaction moment generator hI in M0's eigenbasis."""
+    partition = resonance_partition(free_moment_generator_hermitian(split, m), tol)
     hI = moment_generator(split.interaction, m).matrix
-    w = partition.eigenvalues
-    return MomentFrame(
-        split=split,
-        order=m,
-        partition=partition,
-        hI_eig=eig.to_eigenbasis(hI),
-        delta=-1j * (w[:, None] - w[None, :]),
-    )
+    return partition, partition.decomposition.to_eigenbasis(hI)
 
 
 def mu1(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> Callable[[float], np.ndarray]:
     """First Dyson moment mu_1(t) = t * P(hI)."""
-    frame = moment_frame(split, m, tol)
-    p_hI = frame.project_eig(frame.hI_eig)
+    partition, hI = resonance_frame(split, m, tol)
+    p_hI = partition.project_eig(hI)
     return lambda t: t * p_hI
 
 
@@ -141,11 +90,11 @@ def mu2_closed(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> Callable[[float], np.ndarray]:
     """Second Dyson moment mu_2(t) = P(hI phi(t [h0, .]) hI), closed form."""
-    frame = moment_frame(split, m, tol)
+    partition, hI = resonance_frame(split, m, tol)
 
     def evaluate(t: float) -> np.ndarray:
-        weighted = frame.hI_eig * spectral_function(frame.delta, t, "phi")
-        return frame.project_eig(frame.hI_eig @ weighted)
+        weighted = hI * spectral_function(partition.delta, t, "phi")
+        return partition.project_eig(hI @ weighted)
 
     return evaluate
 
@@ -172,20 +121,21 @@ def mu_k_quadrature(
         raise UnsupportedOrder(f"quadrature implemented for k <= 3, got {k}")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
-    frame = moment_frame(split, m, tol)
+    partition, hI = resonance_frame(split, m, tol)
+    dim = len(hI)
     x01, w01 = _gauss_legendre(nodes)
 
     def nested(depth: int, upper: float) -> np.ndarray:
         # integral over 0 <= t_1 <= ... <= t_depth <= upper of
         # hI(t_depth) ... hI(t_1), in the eigenbasis
         if depth == 0:
-            return np.eye(len(frame.delta), dtype=complex)
-        acc = np.zeros((len(frame.delta),) * 2, dtype=complex)
+            return np.eye(dim, dtype=complex)
+        acc = np.zeros((dim, dim), dtype=complex)
         for xi, wi in zip(upper * x01, upper * w01):
-            acc += wi * (frame.hI_at(xi) @ nested(depth - 1, xi))
+            acc += wi * ((hI * np.exp(-xi * partition.delta)) @ nested(depth - 1, xi))
         return acc
 
-    return frame.project_eig(nested(k, t))
+    return partition.project_eig(nested(k, t))
 
 
 @dataclass(frozen=True)
@@ -211,16 +161,15 @@ def kappa12(
 ) -> TimeLocalGenerator:
     """First two cumulants: kappa1 = P(hI),
     kappa2(t) = P(hI psi(t [h0, .]) hI) - t (P(hI))^2."""
-    frame = moment_frame(split, m, tol)
-    kappa1 = frame.project_eig(frame.hI_eig)
+    partition, hI = resonance_frame(split, m, tol)
+    kappa1 = partition.project_eig(hI)
 
     def kappa2(t: float) -> np.ndarray:
-        weighted = frame.hI_eig * spectral_function(frame.delta, t, "psi")
-        return frame.project_eig(frame.hI_eig @ weighted) - t * (kappa1 @ kappa1)
+        weighted = hI * spectral_function(partition.delta, t, "psi")
+        return partition.project_eig(hI @ weighted) - t * (kappa1 @ kappa1)
 
-    return TimeLocalGenerator(
-        h0=frame.h0(), kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling
-    )
+    h0 = -1j * partition.decomposition.from_eigenbasis(np.diag(partition.eigenvalues))
+    return TimeLocalGenerator(h0=h0, kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling)
 
 
 def _compositions(k: int):

@@ -7,6 +7,7 @@ cross-check and the effective moment propagator built on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,27 +20,45 @@ DEFAULT_RESONANCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ResonancePartition:
-    """Equivalence classes of eigenvalue indices with (clustered) equal values.
+    """The averaging frame of a Hermitian generator M (h0 = -iM).
 
-    Eigenvalues within tol * (1 + spread) of each other (single linkage on
-    the sorted spectrum) land in the same cluster; an index pair (a, b) is
-    resonant iff a and b share a cluster.
+    Eigenvalues within ``gap`` = tol * (1 + spread) of each other (single
+    linkage on the sorted spectrum) share a cluster label; the eigenbasis
+    entry (a, b) is resonant iff a and b share a cluster.  The long-time
+    average keeps exactly the resonant entries.
     """
 
-    eigenvalues: np.ndarray
-    tolerance: float
-    labels: np.ndarray
     decomposition: linalg.HermitianEigenDecomposition
+    labels: np.ndarray
+    gap: float
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.decomposition.eigenvalues
+
+    @cached_property
     def mask(self) -> np.ndarray:
         """Boolean resonance mask R with R[a, b] = (same cluster)."""
         return self.labels[:, None] == self.labels[None, :]
 
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Eigenvalues -i(lam_a - lam_b) of the commutator [h0, . ]."""
+        w = self.eigenvalues
+        return -1j * (w[:, None] - w[None, :])
+
     @property
-    def resonant_pairs(self) -> frozenset:
-        a, b = np.nonzero(self.mask)
-        return frozenset(zip(a.tolist(), b.tolist()))
+    def cluster_values(self) -> np.ndarray:
+        """Mean eigenvalue of each cluster, in label order."""
+        return np.array([float(np.mean(self.eigenvalues[self.labels == k]))
+                         for k in range(self.labels[-1] + 1)])
+
+    @property
+    def projectors(self) -> tuple:
+        """Spectral projector onto each cluster's eigenspace, in label order."""
+        V = self.decomposition.basis
+        blocks = (V[:, self.labels == k] for k in range(self.labels[-1] + 1))
+        return tuple(B @ B.conj().T for B in blocks)
 
     @property
     def max_cluster_width(self) -> float:
@@ -49,11 +68,9 @@ class ResonancePartition:
             width = max(width, float(vals.max() - vals.min()))
         return width
 
-
-@dataclass(frozen=True)
-class ProjectedMatrix:
-    value: np.ndarray
-    partition: ResonancePartition
+    def project_eig(self, Y: np.ndarray) -> np.ndarray:
+        """Average of a matrix given in the eigenbasis, in the original basis."""
+        return self.decomposition.from_eigenbasis(np.where(self.mask, Y, 0.0))
 
 
 def resonance_partition(
@@ -64,12 +81,8 @@ def resonance_partition(
     w = eig.eigenvalues
     spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
     gap = tol * (1.0 + spread)
-    labels = np.zeros(len(w), dtype=int)
-    for i in range(1, len(w)):
-        labels[i] = labels[i - 1] + (1 if w[i] - w[i - 1] > gap else 0)
-    return ResonancePartition(
-        eigenvalues=w, tolerance=tol, labels=labels, decomposition=eig
-    )
+    labels = np.concatenate([[0], np.cumsum(np.diff(w) > gap)])
+    return ResonancePartition(decomposition=eig, labels=labels, gap=gap)
 
 
 def project_with(X: np.ndarray, partition: ResonancePartition) -> np.ndarray:
@@ -78,17 +91,12 @@ def project_with(X: np.ndarray, partition: ResonancePartition) -> np.ndarray:
     eig = partition.decomposition
     if X.shape[0] != eig.dim:
         raise DimensionMismatch(f"X dim {X.shape[0]} != generator dim {eig.dim}")
-    Y = eig.to_eigenbasis(X)
-    Y[~partition.mask] = 0.0
-    return eig.from_eigenbasis(Y)
+    return partition.project_eig(eig.to_eigenbasis(X))
 
 
-def project(
-    X: np.ndarray, M: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL
-) -> ProjectedMatrix:
+def project(X: np.ndarray, M: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL) -> np.ndarray:
     """Long-time average of exp(-iMs) X exp(iMs): keep resonant entries only."""
-    partition = resonance_partition(M, tol)
-    return ProjectedMatrix(value=project_with(X, partition), partition=partition)
+    return project_with(X, resonance_partition(M, tol))
 
 
 def numeric_time_average(
@@ -134,4 +142,4 @@ def effective_propagator(
     of the free generator, h = -i kron_sum(E(H0 + lambda HI), m)."""
     h = moment_generator(split.total(), m).matrix
     M0 = free_moment_generator_hermitian(split, m)
-    return project(linalg.matrix_exponential(h * t), M0, tol).value
+    return project(linalg.matrix_exponential(h * t), M0, tol)

@@ -27,7 +27,7 @@ from .fock import (
     quadratize,
     unitary_conjugation_superoperator,
 )
-from .perturbation import moment_frame
+from .perturbation import resonance_frame
 from .projector import (
     effective_propagator,
     free_moment_generator_hermitian,
@@ -153,11 +153,15 @@ def stationarity_residual(
     split: SplitHamiltonian, m: int, pairs=STATIONARITY_PAIRS, tol: float = 1e-9
 ) -> float:
     """P(hI(t2) hI(t1)) = P(hI hI(t1 - t2))."""
-    frame = moment_frame(split, m, tol)
+    partition, hI = resonance_frame(split, m, tol)
+
+    def hI_at(t: float) -> np.ndarray:
+        return hI * np.exp(-t * partition.delta)
+
     worst = 0.0
     for t1, t2 in pairs:
-        lhs = frame.project_eig(frame.hI_at(t2) @ frame.hI_at(t1))
-        rhs = frame.project_eig(frame.hI_eig @ frame.hI_at(t1 - t2))
+        lhs = partition.project_eig(hI_at(t2) @ hI_at(t1))
+        rhs = partition.project_eig(hI @ hI_at(t1 - t2))
         worst = max(worst, linalg.max_abs(lhs - rhs))
     return worst
 

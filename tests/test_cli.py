@@ -70,6 +70,26 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid": {"t_end": -1, "steps": 100}},
+            {"m": "1.5"},
+            {"m": 1.5},
+            {"HI": {"hopping": [{"j": 1, "k": 3, "g": 1.0}]}},
+            {"H0": {"frequencies": [float("nan"), 2.0]}},
+            {"HI": {"hopping": [{"j": 1, "k": 2}]}},
+            {"tolerances": {"resonance": "tight"}},
+        ],
+        ids=["negative-t_end", "string-m", "fractional-m", "hopping-k-above-n",
+             "nan-frequency", "hopping-without-g", "string-tolerance"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, {**BASE, **change})
+        code, _ = run(tmp_path, "evolve", "--config", cfg, "--order", "2")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_exact_two_mode(self, tmp_path):
@@ -188,17 +208,6 @@ class TestOrderStudy:
     def test_missing_lambdas_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "order-study", "--config", config_path("two_mode.json"))
         assert code == 2
-
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        _, serial = run(
-            tmp_path, "order-study", "--config", config_path("two_mode_detuned.json"),
-            "--lambdas", self.LAMBDAS,
-        )
-        _, parallel = run(
-            tmp_path, "order-study", "--config", config_path("two_mode_detuned.json"),
-            "--lambdas", self.LAMBDAS, "--jobs", "3",
-        )
-        assert serial["payload"] == parallel["payload"]
 
 
 class TestBosonCheck:

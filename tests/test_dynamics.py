@@ -128,8 +128,13 @@ class TestOrderEstimate:
         assert abs(out["slope"] - 3.0) < 0.3
 
     def test_degenerate_fit_on_commuting_model(self, resonant_split):
-        with pytest.raises(DegenerateFit):
-            order_estimate(resonant_split, 1, TimeGrid(1.0, 20), self.LAMBDAS, order=2)
+        # equal frequencies: every error is the RK4 floor of the free
+        # evolution, which reaches 3.8e-12 at omega = 1.7, m = 2
+        faster = replace(resonant_split, base=eh.diagonal_modes([1.7, 1.7]))
+        for split, m in ((resonant_split, 1), (faster, 2)):
+            with pytest.raises(DegenerateFit) as info:
+                order_estimate(split, m, TimeGrid(1.0, 20), self.LAMBDAS, order=2)
+            assert len(info.value.errors) == len(self.LAMBDAS)
 
     def test_requires_three_lambdas(self, detuned_split):
         with pytest.raises(ValueError):

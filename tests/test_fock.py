@@ -10,9 +10,9 @@ from effheis.fock import (
     jordan_wigner,
     project_superoperator,
     quadratize,
-    spectral_projectors,
     unitary_conjugation_superoperator,
 )
+from effheis.projector import resonance_partition
 from effheis.verify import random_valid_fermion
 
 
@@ -64,17 +64,16 @@ class TestQuadratize:
 
 class TestSpectralProjectors:
     def test_degenerate_middle_pair(self):
-        spec = spectral_projectors(np.diag([0.0, 1.0, 1.0, 2.0]))
-        assert len(spec) == 3
-        np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.0, 2.0])
-        assert [int(round(np.trace(P).real)) for P in spec.projectors] == [1, 2, 1]
+        part = resonance_partition(np.diag([0.0, 1.0, 1.0, 2.0]))
+        np.testing.assert_allclose(part.cluster_values, [0.0, 1.0, 2.0])
+        assert [int(round(np.trace(P).real)) for P in part.projectors] == [1, 2, 1]
 
     def test_resolution_of_identity(self, rng):
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        spec = spectral_projectors((A + A.conj().T) / 2)
-        total = sum(spec.projectors)
+        projectors = resonance_partition((A + A.conj().T) / 2).projectors
+        total = sum(projectors)
         assert linalg.max_abs(total - np.eye(4)) < 1e-12
-        for P in spec.projectors:
+        for P in projectors:
             assert linalg.max_abs(P @ P - P) < 1e-12
 
 

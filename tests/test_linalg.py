@@ -83,28 +83,6 @@ class TestMatrixExponential:
             linalg.matrix_exponential(1e5 * np.eye(2))
 
 
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = linalg.kron(np.diag([1.0 + 0j, 2.0]), np.diag([3.0 + 0j, 4.0]))
-        np.testing.assert_allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_mixed_product(self, rng):
-        A, B, C, D = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        lhs = linalg.kron(A, B) @ linalg.kron(C, D)
-        rhs = linalg.kron(A @ C, B @ D)
-        assert linalg.max_abs(lhs - rhs) < 1e-12
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionOverflow):
-            linalg.kron(np.eye(70), np.eye(70))
-
-
 class TestKronSum:
     def test_single_slot(self, rng):
         K = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

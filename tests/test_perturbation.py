@@ -7,17 +7,16 @@ from effheis.errors import UnsupportedOrder
 from effheis.fermion import SplitHamiltonian
 from effheis.perturbation import (
     SERIES_SWITCH,
-    apply_ad_function,
     general_kappa,
     interaction_hI,
     kappa12,
-    moment_frame,
     mu1,
     mu2_closed,
     mu_k_quadrature,
+    resonance_frame,
     spectral_function,
 )
-from effheis.projector import free_moment_generator_hermitian, project
+from effheis.projector import free_moment_generator_hermitian, project, resonance_partition
 from effheis.verify import stationarity_residual
 
 
@@ -75,6 +74,13 @@ class TestInteractionPicture:
         assert linalg.max_abs(dv - lam * interaction_hI(hI, h0, t) @ v(t)) < 1e-6
 
 
+def apply_ad_function(hI, M, t, kind):
+    """F(t [h0, .]) hI with h0 = -iM, entrywise in the partition's eigenbasis."""
+    part = resonance_partition(M)
+    eig = part.decomposition
+    return eig.from_eigenbasis(eig.to_eigenbasis(hI) * spectral_function(part.delta, t, kind))
+
+
 class TestApplyAdFunction:
     def test_zero_generator_psi(self, rng):
         hI = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -117,7 +123,7 @@ class TestDysonMoments:
         t = 1.1
         hI = eh.moment_generator(resonant_split.interaction, 1).matrix
         M0 = free_moment_generator_hermitian(resonant_split, 1)
-        want = t**2 / 2 * project(hI @ hI, M0).value
+        want = t**2 / 2 * project(hI @ hI, M0)
         assert linalg.max_abs(mu2_closed(resonant_split, 1)(t) - want) < 1e-12
 
     def test_mu2_matches_quadrature(self, offres_split):
@@ -155,7 +161,7 @@ class TestCumulants:
         gen = kappa12(resonant_split, 1)
         hI = eh.moment_generator(resonant_split.interaction, 1).matrix
         M0 = free_moment_generator_hermitian(resonant_split, 1)
-        P = lambda X: project(X, M0).value
+        P = lambda X: project(X, M0)
         want = t * P(hI @ hI) - t * (P(hI) @ P(hI))
         assert linalg.max_abs(gen.kappa2_of_t(t) - want) < 1e-12
 
@@ -166,8 +172,8 @@ class TestCumulants:
         assert linalg.max_abs(closed - fd) < 1e-5
 
     def test_general_kappa_k1(self, detuned_split):
-        frame = moment_frame(detuned_split, 1)
-        want = frame.project_eig(frame.hI_eig)
+        partition, hI = resonance_frame(detuned_split, 1)
+        want = partition.project_eig(hI)
         got = general_kappa(detuned_split, 1, 1, 1.0, nodes=32)
         assert linalg.max_abs(got - want) < 1e-8
 
@@ -178,7 +184,7 @@ class TestCumulants:
         t = 0.7
         hI = eh.moment_generator(resonant_split.interaction, 1).matrix
         M0 = free_moment_generator_hermitian(resonant_split, 1)
-        P = lambda X: project(X, M0).value
+        P = lambda X: project(X, M0)
         B1, B2, B3 = P(hI), P(hI @ hI), P(hI @ hI @ hI)
         want = t**2 * (B3 / 2 - B1 @ B2 / 2 - B2 @ B1 + B1 @ B1 @ B1)
         got = general_kappa(resonant_split, 1, 3, t, nodes=16)
@@ -212,7 +218,7 @@ class TestExpansionProperties:
             split = replace(detuned_split, coupling=lam)
             h = eh.moment_generator(split.total(), 1).matrix
             v = linalg.matrix_exponential(-h0 * t) @ linalg.matrix_exponential(h * t)
-            Pv = project(v, M0).value
+            Pv = project(v, M0)
             approx = np.eye(4) + lam * m1 + lam**2 * m2
             errors.append(linalg.max_abs(Pv - approx))
         for big, small in zip(errors, errors[1:]):
