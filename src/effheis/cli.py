@@ -22,6 +22,7 @@ from .boson import divergence_demo, stability_check
 from .config import ModelConfig, encode_matrix, load_config
 from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, order_estimate
 from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
+from .fock import MAX_SUPEROP_MODES
 from .perturbation import kappa12
 from .verify import run_verification
 
@@ -113,8 +114,8 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
 
 
 def cmd_verify(cfg: ModelConfig, args) -> tuple[dict, int]:
-    if cfg.n > 3:
-        raise TooManyModes(f"verify requires n <= 3, got n={cfg.n}")
+    if cfg.n > MAX_SUPEROP_MODES:
+        raise TooManyModes(f"verify requires n <= {MAX_SUPEROP_MODES}, got n={cfg.n}")
     split = cfg.split()
     thresholds = None
     if cfg.report_tol is not None:
@@ -130,7 +131,12 @@ def cmd_verify(cfg: ModelConfig, args) -> tuple[dict, int]:
 def cmd_order_study(cfg: ModelConfig, args) -> tuple[dict, int]:
     if not args.lambdas:
         raise ConfigError("order-study requires --lambdas L1,L2,...")
-    lambdas = [float(x) for x in args.lambdas.split(",")]
+    try:
+        lambdas = [float(x) for x in args.lambdas.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--lambdas must be comma-separated numbers: {exc}") from exc
+    if not all(np.isfinite(lam) and lam > 0 for lam in lambdas):
+        raise ConfigError(f"--lambdas must be positive finite couplings, got {lambdas}")
     if len(lambdas) < 3:
         raise ConfigError("order-study needs at least 3 coupling values")
     grid = TimeGrid(t_end=cfg.grid_t_end, steps=cfg.grid_steps)

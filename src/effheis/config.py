@@ -128,6 +128,24 @@ class ModelConfig:
         return validate_boson(_build_boson_matrix(self.boson["H0"], self.n), self.n)
 
 
+def _boson_section(boson, n: int):
+    """Type-check the optional boson section: X must be a 2n-dimensional
+    matrix and T_list a non-empty list of positive finite times."""
+    if boson is None:
+        return None
+    if not isinstance(boson, dict):
+        raise ConfigError("boson must be an object")
+    if "X" in boson and decode_matrix(boson["X"]).shape[0] != 2 * n:
+        raise ConfigError(f"boson.X must be {2 * n}x{2 * n} for n={n}")
+    if "T_list" in boson:
+        T_list = boson["T_list"]
+        if not isinstance(T_list, list) or not T_list:
+            raise ConfigError(f"boson.T_list must be a non-empty list, got {T_list!r}")
+        if any(_number(T, "boson.T_list entry") <= 0 for T in T_list):
+            raise ConfigError(f"boson.T_list entries must be positive, got {T_list!r}")
+    return boson
+
+
 def parse_config(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -144,8 +162,9 @@ def parse_config(data: dict) -> ModelConfig:
     for key in DEFAULT_TOLERANCES:
         if tolerances[key] is not None:
             _number(tolerances[key], f"tolerances.{key}")
+    n = _integer(data["n"], "n", 1)
     return ModelConfig(
-        n=_integer(data["n"], "n", 1),
+        n=n,
         m=_integer(data.get("m", 1), "m", 1),
         coupling=_number(data.get("lambda", 0.0), "lambda"),
         H0_spec=data.get("H0"),
@@ -154,7 +173,7 @@ def parse_config(data: dict) -> ModelConfig:
         grid_steps=_integer(grid.get("steps", 200), "grid.steps", 1),
         tolerances=tolerances,
         seed=_integer(data.get("seed", 0), "seed", 0),
-        boson=data.get("boson"),
+        boson=_boson_section(data.get("boson"), n),
         raw=data,
     )
 

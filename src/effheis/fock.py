@@ -1,7 +1,8 @@
 """Brute-force ground truth on the full 2^n-dimensional Fock space:
 Jordan-Wigner fermion operators, quadratic-form Hamiltonians, the
 superoperator-level averaging projection, and the exactly averaged unitary
-conjugation of operator products.
+conjugation of operator products.  Both averages are one resonance mask on a
+four-index tensor in the eigenbasis of the free Fock Hamiltonian H0hat.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, TooManyModes
 from .fermion import FermionHamiltonian, heisenberg_matrix
-from .projector import DEFAULT_RESONANCE_TOL, resonance_partition
+from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, resonance_partition
 
 MAX_MODES = 6
-MAX_SUPEROP_MODES = 3
+MAX_SUPEROP_MODES = 4
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -82,14 +83,26 @@ def _check_superop_modes(dim: int):
         raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
 
 
+def _resonant_quadruples(part: ResonancePartition) -> np.ndarray:
+    """Boolean keep[a, b, c, d] = |e_a - e_b + e_c - e_d| <= gap over the
+    eigenvectors of the partition, e being each eigenvector's cluster mean."""
+    e = part.cluster_values[part.labels]
+    combo = (e[:, None, None, None] - e[None, :, None, None]
+             + e[None, None, :, None] - e[None, None, None, :])
+    return np.abs(combo) <= part.gap
+
+
 def project_superoperator(
     Phi: np.ndarray, H0hat: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL
 ) -> np.ndarray:
     """Averaging projection of a superoperator given as a dim-4^n matrix.
 
-    Uses column-stacking vec so that the map Z -> A Z B is (B^T kron A);
-    sums Pi_1 Phi(Pi_2 . Pi_3) Pi_4 over eigenvalue quadruples with
-    e1 - e2 + e3 - e4 = 0 within the clustering tolerance.
+    Uses column-stacking vec so that the map Z -> A Z B is (B^T kron A).
+    The projection is sum Pi_1 Phi(Pi_2 . Pi_3) Pi_4 over the cluster
+    projectors of H0hat with e1 - e2 + e3 - e4 = 0 within the clustering
+    tolerance.  In the eigenbasis V of H0hat that sum is a mask: with
+    W = V^* kron V (so vec(V Z V^dag) = W vec Z), Y = W^dag Phi W keeps its
+    entry from input (k, l) to output (i, j) iff e_i - e_k + e_l - e_j = 0.
     """
     H0hat = linalg.as_matrix(H0hat)
     d = H0hat.shape[0]
@@ -98,15 +111,13 @@ def project_superoperator(
     if Phi.shape[0] != d * d:
         raise DimensionMismatch(f"superoperator dim {Phi.shape[0]} != {d * d}")
     part = resonance_partition(H0hat, tol)
-    e, projectors, gap = part.cluster_values, part.projectors, part.gap
-    out = np.zeros_like(Phi)
-    for i1, P1 in enumerate(projectors):
-        for i2, P2 in enumerate(projectors):
-            for i3, P3 in enumerate(projectors):
-                for i4, P4 in enumerate(projectors):
-                    if abs(e[i1] - e[i2] + e[i3] - e[i4]) <= gap:
-                        out += np.kron(P4.T, P1) @ Phi @ np.kron(P3.T, P2)
-    return out
+    V = part.decomposition.basis
+    W = np.kron(V.conj(), V)
+    # Y[i + d j, k + d l] is Y4[i, j, k, l] in Fortran order
+    Y4 = (W.conj().T @ Phi @ W).reshape((d, d, d, d), order="F")
+    keep = _resonant_quadruples(part).transpose(0, 3, 1, 2)
+    Y = np.where(keep, Y4, 0.0).reshape((d * d, d * d), order="F")
+    return W @ Y @ W.conj().T
 
 
 def unitary_conjugation_superoperator(U: np.ndarray) -> np.ndarray:
@@ -129,8 +140,11 @@ def averaged_unitary_moments(
 
     Evaluated exactly by Bohr-frequency decomposition: with M = exp(i Hhat t)
     and X the operator product, the average equals
-    sum over projector pairs (a,b), (c,d) of Hhat_0 with
+    sum over cluster projectors a, b, c, d of H0hat with
     (e_a - e_b) + (e_c - e_d) = 0 of  Pi_a M Pi_b X Pi_c M^dag Pi_d.
+    In the eigenbasis of H0hat (M' = V^dag M V, X' = V^dag X V) that is one
+    masked contraction: entry (a, d) sums M'_ab X'_bc (M'^dag)_cd over the
+    eigenvector pairs (b, c) whose cluster means satisfy the same condition.
     The numeric flag switches to a finite-T trapezoidal s-average (sanity
     check only; slowly convergent).
     """
@@ -152,16 +166,10 @@ def averaged_unitary_moments(
             acc += weight * (Ms @ X @ Ms.conj().T)
         return acc / (numeric_steps - 1)
     part = resonance_partition(H0hat, tol)
-    e, projectors, gap = part.cluster_values, part.projectors, part.gap
-    out = np.zeros_like(X)
-    for a, Pa in enumerate(projectors):
-        for b, Pb in enumerate(projectors):
-            left = Pa @ M @ Pb
-            for c, Pc in enumerate(projectors):
-                for d_, Pd in enumerate(projectors):
-                    if abs((e[a] - e[b]) + (e[c] - e[d_])) <= gap:
-                        out += left @ X @ (Pc @ M.conj().T @ Pd)
-    return out
+    eig = part.decomposition
+    Mp, Xp = eig.to_eigenbasis(M), eig.to_eigenbasis(X)
+    keep = _resonant_quadruples(part)
+    return eig.from_eigenbasis(np.einsum("ab,bc,cd,abcd->ad", Mp, Xp, Mp.conj().T, keep))
 
 
 def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t: float) -> float:

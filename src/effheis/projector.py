@@ -54,13 +54,6 @@ class ResonancePartition:
                          for k in range(self.labels[-1] + 1)])
 
     @property
-    def projectors(self) -> tuple:
-        """Spectral projector onto each cluster's eigenspace, in label order."""
-        V = self.decomposition.basis
-        blocks = (V[:, self.labels == k] for k in range(self.labels[-1] + 1))
-        return tuple(B @ B.conj().T for B in blocks)
-
-    @property
     def max_cluster_width(self) -> float:
         width = 0.0
         for lab in np.unique(self.labels):

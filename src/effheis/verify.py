@@ -20,6 +20,7 @@ from .fermion import (
     validate_fermion,
 )
 from .fock import (
+    MAX_SUPEROP_MODES,
     averaged_unitary_moments,
     check_heisenberg_reduction,
     jordan_wigner,
@@ -133,8 +134,8 @@ def operator_products(rep, m: int) -> list:
 def moment_equivalence_residual(split: SplitHamiltonian, m: int, t: float, tol: float = 1e-9) -> float:
     """Core equivalence: matrix-level averaged moment propagator applied to
     the operator tensor versus the Fock-oracle averaged conjugation."""
-    if split.n > 3:
-        raise TooManyModes("oracle comparison limited to n <= 3")
+    if split.n > MAX_SUPEROP_MODES:
+        raise TooManyModes(f"oracle comparison limited to n <= {MAX_SUPEROP_MODES}")
     rep = jordan_wigner(split.n)
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
@@ -179,13 +180,13 @@ def run_verification(split: SplitHamiltonian, m: int, seed: int = 0,
                      resonance_tol: float = 1e-9, thresholds: dict | None = None,
                      times=(0.5, 1.0)) -> dict:
     """Full oracle cross-check suite; returns per-check residuals and verdicts."""
-    if split.n > 3:
-        raise TooManyModes("verification requires n <= 3")
+    if split.n > MAX_SUPEROP_MODES:
+        raise TooManyModes(f"verification requires n <= {MAX_SUPEROP_MODES}")
     thr = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         thr.update(thresholds)
     rng = np.random.default_rng(seed)
-    # the 4^n-dimensional superoperator checks get expensive at n=3
+    # the 4^n-dimensional superoperator checks get expensive from n=3 on
     superop_samples = 10 if split.n <= 2 else 2
     residuals = {
         "heisenberg_reduction": heisenberg_reduction_residual(split, rng),

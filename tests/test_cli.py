@@ -80,9 +80,14 @@ class TestValidate:
             {"H0": {"frequencies": [float("nan"), 2.0]}},
             {"HI": {"hopping": [{"j": 1, "k": 2}]}},
             {"tolerances": {"resonance": "tight"}},
+            {"boson": {"T_list": ["long"]}},
+            {"boson": {"T_list": 5}},
+            {"boson": {"T_list": [10.0, -1.0]}},
+            {"boson": {"X": [[[0.0, 0.0]] * 3] * 3, "T_list": [1.0]}},
         ],
         ids=["negative-t_end", "string-m", "fractional-m", "hopping-k-above-n",
-             "nan-frequency", "hopping-without-g", "string-tolerance"],
+             "nan-frequency", "hopping-without-g", "string-tolerance",
+             "string-T_list", "scalar-T_list", "negative-T_list", "X-wrong-dimension"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, {**BASE, **change})
@@ -161,8 +166,8 @@ class TestVerify:
 
     def test_too_many_modes_exits_2(self, tmp_path):
         cfg_data = dict(BASE)
-        cfg_data["n"] = 4
-        cfg_data["H0"] = {"frequencies": [1.0, 2.0, 3.0, 4.0]}
+        cfg_data["n"] = 5
+        cfg_data["H0"] = {"frequencies": [1.0, 2.0, 3.0, 4.0, 5.0]}
         cfg = write_config(tmp_path, cfg_data)
         code, _ = run(tmp_path, "verify", "--config", cfg)
         assert code == 2
@@ -208,6 +213,15 @@ class TestOrderStudy:
     def test_missing_lambdas_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "order-study", "--config", config_path("two_mode.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("lambdas", ["0.1,x,0.2", "0.1,nan,0.2", "0.1,0,0.2"])
+    def test_bad_lambdas_exit_2(self, tmp_path, capsys, lambdas):
+        code, _ = run(
+            tmp_path, "order-study", "--config", config_path("two_mode.json"),
+            "--lambdas", lambdas,
+        )
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestBosonCheck:

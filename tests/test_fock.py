@@ -13,7 +13,7 @@ from effheis.fock import (
     unitary_conjugation_superoperator,
 )
 from effheis.projector import resonance_partition
-from effheis.verify import random_valid_fermion
+from effheis.verify import random_complex, random_valid_fermion, run_verification
 
 
 class TestJordanWigner:
@@ -62,19 +62,78 @@ class TestQuadratize:
             quadratize(eh.diagonal_modes([1.0]), jordan_wigner(2))
 
 
+def cluster_projectors(part):
+    """Spectral projector onto each cluster's eigenspace, in label order."""
+    V = part.decomposition.basis
+    blocks = (V[:, part.labels == k] for k in range(part.labels[-1] + 1))
+    return [B @ B.conj().T for B in blocks]
+
+
+def loop_project_superoperator(Phi, H0hat, tol=1e-9):
+    """Reference: the cluster-quadruple sum of Pi_1 Phi(Pi_2 . Pi_3) Pi_4."""
+    part = resonance_partition(H0hat, tol)
+    e, projectors = part.cluster_values, cluster_projectors(part)
+    out = np.zeros_like(Phi)
+    for i1, P1 in enumerate(projectors):
+        for i2, P2 in enumerate(projectors):
+            for i3, P3 in enumerate(projectors):
+                for i4, P4 in enumerate(projectors):
+                    if abs(e[i1] - e[i2] + e[i3] - e[i4]) <= part.gap:
+                        out += np.kron(P4.T, P1) @ Phi @ np.kron(P3.T, P2)
+    return out
+
+
+def loop_averaged_conjugation(Hhat, H0hat, X, t, tol=1e-9):
+    """Reference: the cluster-quadruple sum of Pi_a M Pi_b X Pi_c M^dag Pi_d."""
+    M = linalg.matrix_exponential(1j * t * Hhat)
+    part = resonance_partition(H0hat, tol)
+    e, projectors = part.cluster_values, cluster_projectors(part)
+    out = np.zeros_like(X)
+    for a, Pa in enumerate(projectors):
+        for b, Pb in enumerate(projectors):
+            left = Pa @ M @ Pb
+            for c, Pc in enumerate(projectors):
+                for d_, Pd in enumerate(projectors):
+                    if abs((e[a] - e[b]) + (e[c] - e[d_])) <= part.gap:
+                        out += left @ X @ (Pc @ M.conj().T @ Pd)
+    return out
+
+
+def free_hamiltonians(n, rng):
+    """A non-diagonal H0hat (eigenbasis not a permutation) and a degenerate
+    diagonal one (frequencies 1, 1, 2 truncated to n modes)."""
+    rep = jordan_wigner(n)
+    return [
+        quadratize(random_valid_fermion(n, rng), rep),
+        quadratize(eh.diagonal_modes([1.0, 1.0, 2.0][:n]), rep),
+    ]
+
+
 class TestSpectralProjectors:
     def test_degenerate_middle_pair(self):
         part = resonance_partition(np.diag([0.0, 1.0, 1.0, 2.0]))
         np.testing.assert_allclose(part.cluster_values, [0.0, 1.0, 2.0])
-        assert [int(round(np.trace(P).real)) for P in part.projectors] == [1, 2, 1]
+        assert np.bincount(part.labels).tolist() == [1, 2, 1]
 
-    def test_resolution_of_identity(self, rng):
-        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        projectors = resonance_partition((A + A.conj().T) / 2).projectors
-        total = sum(projectors)
-        assert linalg.max_abs(total - np.eye(4)) < 1e-12
-        for P in projectors:
-            assert linalg.max_abs(P @ P - P) < 1e-12
+
+class TestMaskMatchesClusterLoops:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_project_superoperator(self, rng, n):
+        d = 2**n
+        for H0hat in free_hamiltonians(n, rng):
+            Phi = random_complex(d * d, rng)
+            want = loop_project_superoperator(Phi, H0hat)
+            assert linalg.max_abs(project_superoperator(Phi, H0hat) - want) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_averaged_unitary_moments(self, rng, n):
+        d = 2**n
+        Hhat = quadratize(random_valid_fermion(n, rng), jordan_wigner(n))
+        for H0hat in free_hamiltonians(n, rng):
+            X = random_complex(d, rng)
+            want = loop_averaged_conjugation(Hhat, H0hat, X, 0.7)
+            got = averaged_unitary_moments(Hhat, H0hat, [X], 0.7)
+            assert linalg.max_abs(got - want) < 1e-12
 
 
 class TestProjectSuperoperator:
@@ -97,7 +156,7 @@ class TestProjectSuperoperator:
 
     def test_mode_cap(self):
         with pytest.raises(TooManyModes):
-            project_superoperator(np.eye(16**2), np.zeros((16, 16)))
+            project_superoperator(np.eye(32**2), np.zeros((32, 32)))
 
 
 class TestAveragedUnitaryMoments:
@@ -154,6 +213,17 @@ class TestAveragedUnitaryMoments:
             Hhat, H0hat, [X], 0.6, numeric=True, numeric_T=500.0, numeric_steps=50000
         )
         assert linalg.max_abs(exact - approx) < 5e-3
+
+
+class TestRunVerification:
+    def test_four_modes_all_pass(self):
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.7, 2.3, 3.1]),
+            interaction=eh.hopping(4, 1, 2, 1.0),
+            coupling=0.1,
+        )
+        result = run_verification(split, 1, seed=0)
+        assert result["all_pass"], result["checks"]
 
 
 class TestCheckHeisenbergReduction:
