@@ -7,7 +7,6 @@ Fock-space oracle, and bosonic stability diagnostics.
 from .boson import (
     BosonHamiltonian,
     StabilityReport,
-    bosonic_interaction_frame,
     divergence_demo,
     stability_check,
     symplectic_matrix,
@@ -23,13 +22,11 @@ from .dynamics import (
 )
 from .fermion import (
     FermionHamiltonian,
-    MomentGenerator,
     SplitHamiltonian,
     diagonal_modes,
     exchange_matrix,
     heisenberg_matrix,
     hopping,
-    interaction_frame_H,
     moment_generator,
     tilde_conjugate,
     validate_fermion,
@@ -51,7 +48,6 @@ from .linalg import (
 from .perturbation import (
     TimeLocalGenerator,
     general_kappa,
-    interaction_hI,
     kappa12,
     mu1,
     mu2_closed,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotSymmetric, NotTildeSymmetric
-from .fermion import tilde_conjugate
+from .fermion import check_worst_entry, tilde_conjugate
 
 VALIDATION_TOL = 1e-12
 STABILITY_TOL = 1e-9
@@ -40,16 +40,8 @@ def validate_boson(H: np.ndarray, n: int, tol: float = VALIDATION_TOL) -> BosonH
     H = linalg.as_matrix(H)
     if H.shape[0] != 2 * n:
         raise DimensionMismatch(f"expected dim {2 * n}, got {H.shape[0]}")
-    R = H - H.T
-    if linalg.max_abs(R) > tol:
-        idx = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-        raise NotSymmetric(f"(H - H^T)[{idx}] = {abs(R[idx]):.3e} exceeds {tol:.1e}")
-    R = H - tilde_conjugate(H, n)
-    if linalg.max_abs(R) > tol:
-        idx = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-        raise NotTildeSymmetric(
-            f"(H - tilde(H))[{idx}] = {abs(R[idx]):.3e} exceeds {tol:.1e}"
-        )
+    check_worst_entry(H - H.T, "(H - H^T)", tol, NotSymmetric)
+    check_worst_entry(H - tilde_conjugate(H, n), "(H - tilde(H))", tol, NotTildeSymmetric)
     return BosonHamiltonian(n=n, H=H)
 
 
@@ -79,18 +71,6 @@ def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> Stabili
     return StabilityReport(
         eigenvalues=eigs, max_imag=max_imag, classification=classification, tolerance=tol
     )
-
-
-def bosonic_interaction_frame(
-    H: BosonHamiltonian, H0: BosonHamiltonian, s: float
-) -> np.ndarray:
-    """Rotated coefficient matrix exp(-i H0 J s) H exp(i J H0 s)."""
-    if H.n != H0.n:
-        raise DimensionMismatch("mode counts differ")
-    J = symplectic_matrix(H0.n)
-    left = linalg.matrix_exponential(-1j * s * (H0.H @ J))
-    right = linalg.matrix_exponential(1j * s * (J @ H0.H))
-    return left @ H.H @ right
 
 
 def divergence_demo(H0: BosonHamiltonian, X: np.ndarray, T_list, steps_per_unit: int = 200) -> dict:

@@ -24,7 +24,7 @@ from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, ord
 from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
 from .fock import MAX_SUPEROP_MODES
 from .perturbation import kappa12
-from .verify import run_verification
+from .verify import DEFAULT_THRESHOLDS, run_verification
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -119,8 +119,7 @@ def cmd_verify(cfg: ModelConfig, args) -> tuple[dict, int]:
     split = cfg.split()
     thresholds = None
     if cfg.report_tol is not None:
-        thresholds = {name: cfg.report_tol for name in
-                      ("heisenberg_reduction", "matrix_laws", "superoperator_laws", "moment_equivalence", "stationarity")}
+        thresholds = dict.fromkeys(DEFAULT_THRESHOLDS, cfg.report_tol)
     seed = cfg.seed if args.seed is None else args.seed
     result = run_verification(
         split, cfg.m, seed=seed, resonance_tol=cfg.resonance_tol, thresholds=thresholds

@@ -34,6 +34,8 @@ def decode_matrix(data) -> np.ndarray:
         raise ConfigError(f"malformed matrix entries: {exc}") from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ConfigError(f"matrix must be square with [re, im] entries, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("matrix entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -49,25 +51,35 @@ def _integer(value, name: str, minimum: int) -> int:
     return value
 
 
-def _frequencies(spec, n: int) -> list:
-    omega = spec["frequencies"]
-    if not isinstance(omega, list) or len(omega) != n:
-        raise ConfigError(f"expected a list of {n} frequencies, got {omega!r}")
-    return [_number(w, "frequency") for w in omega]
+def _read_spec(spec, n: int, kinds: tuple) -> tuple[str, object]:
+    """Check that a Hamiltonian spec is an object with exactly one of
+    ``kinds`` and return that kind with its value: a decoded matrix, a list
+    of n finite frequencies, or the raw value of any other kind."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"Hamiltonian spec must be an object, got {spec!r}")
+    found = [kind for kind in kinds if kind in spec]
+    if len(found) != 1:
+        raise ConfigError(f"Hamiltonian spec needs exactly one of {'/'.join(kinds)}")
+    kind, value = found[0], spec[found[0]]
+    if kind == "matrix":
+        return kind, decode_matrix(value)
+    if kind == "frequencies":
+        if not isinstance(value, list) or len(value) != n:
+            raise ConfigError(f"expected a list of {n} frequencies, got {value!r}")
+        return kind, [_number(w, "frequency") for w in value]
+    return kind, value
 
 
 def _build_fermion(spec, n: int) -> FermionHamiltonian:
-    if not isinstance(spec, dict):
-        raise ConfigError("Hamiltonian spec must be an object")
-    keys = set(spec) & {"matrix", "frequencies", "hopping"}
-    if len(keys) != 1:
-        raise ConfigError("Hamiltonian spec needs exactly one of matrix/frequencies/hopping")
-    if "matrix" in spec:
-        return validate_fermion(decode_matrix(spec["matrix"]), n)
-    if "frequencies" in spec:
-        return diagonal_modes(_frequencies(spec, n))
+    kind, value = _read_spec(spec, n, ("matrix", "frequencies", "hopping"))
+    if kind == "matrix":
+        return validate_fermion(value, n)
+    if kind == "frequencies":
+        return diagonal_modes(value)
+    if not isinstance(value, list):
+        raise ConfigError(f"hopping must be a list of terms, got {value!r}")
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    for term in spec["hopping"]:
+    for term in value:
         if not isinstance(term, dict) or not {"j", "k", "g"} <= set(term):
             raise ConfigError(f"hopping term needs j, k and g, got {term!r}")
         j, k = _integer(term["j"], "hopping j", 1), _integer(term["k"], "hopping k", 1)
@@ -79,13 +91,12 @@ def _build_fermion(spec, n: int) -> FermionHamiltonian:
 
 
 def _build_boson_matrix(spec, n: int) -> np.ndarray:
-    if "matrix" in spec:
-        return decode_matrix(spec["matrix"])
-    if "frequencies" in spec:
-        W = np.diag(_frequencies(spec, n)).astype(complex)
-        zero = np.zeros((n, n), dtype=complex)
-        return np.block([[zero, W], [W, zero]])
-    raise ConfigError("boson Hamiltonian spec needs matrix or frequencies")
+    kind, value = _read_spec(spec, n, ("matrix", "frequencies"))
+    if kind == "matrix":
+        return value
+    W = np.diag(value).astype(complex)
+    zero = np.zeros((n, n), dtype=complex)
+    return np.block([[zero, W], [W, zero]])
 
 
 @dataclass(frozen=True)

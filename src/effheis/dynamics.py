@@ -66,7 +66,7 @@ def exact_series(
     tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PropagatorSeries:
     """Averaged propagator P(exp(h t)) at every grid point."""
-    h = moment_generator(split.total(), m).matrix
+    h = moment_generator(split.total(), m)
     M0 = free_moment_generator_hermitian(split, m)
     # h is anti-Hermitian: diagonalize once, exponentiate per grid point
     h_eig = linalg.hermitian_eigendecompose(1j * h)

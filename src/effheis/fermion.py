@@ -43,9 +43,12 @@ def tilde_conjugate(K: np.ndarray, n: int) -> np.ndarray:
     return E @ K.conj() @ E
 
 
-def _max_violation(R: np.ndarray) -> tuple[float, tuple[int, int]]:
+def check_worst_entry(R: np.ndarray, label: str, tol: float, error: type) -> None:
+    """Raise ``error`` naming the worst entry of the residual R if it exceeds tol."""
     idx = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-    return float(np.abs(R[idx])), (int(idx[0]), int(idx[1]))
+    worst = float(np.abs(R[idx]))
+    if worst > tol:
+        raise error(f"{label}[{(int(idx[0]), int(idx[1]))}] = {worst:.3e} exceeds {tol:.1e}")
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,8 @@ def validate_fermion(H: np.ndarray, n: int, tol: float = VALIDATION_TOL) -> Ferm
     H = linalg.as_matrix(H)
     if H.shape[0] != 2 * n:
         raise DimensionMismatch(f"expected dim {2 * n}, got {H.shape[0]}")
-    viol, idx = _max_violation(H + H.T)
-    if viol > tol:
-        raise NotAntisymmetric(f"(H + H^T)[{idx}] = {viol:.3e} exceeds {tol:.1e}")
-    viol, idx = _max_violation(H + tilde_conjugate(H, n))
-    if viol > tol:
-        raise NotTildeAntisymmetric(
-            f"(H + tilde(H))[{idx}] = {viol:.3e} exceeds {tol:.1e}"
-        )
+    check_worst_entry(H + H.T, "(H + H^T)", tol, NotAntisymmetric)
+    check_worst_entry(H + tilde_conjugate(H, n), "(H + tilde(H))", tol, NotTildeAntisymmetric)
     EH = exchange_matrix(n) @ H
     if linalg.hermiticity_residual(EH) > tol:
         raise NotHermitian("E @ H is not Hermitian within tolerance")
@@ -135,31 +132,7 @@ def heisenberg_matrix(H: FermionHamiltonian, t: float) -> np.ndarray:
     return linalg.matrix_exponential(-1j * t * H.single_particle_generator())
 
 
-def interaction_frame_H(
-    H: FermionHamiltonian, H0: FermionHamiltonian, s: float
-) -> np.ndarray:
-    """Coefficient matrix of the free-frame-rotated Hamiltonian at time s.
-
-    Returns exp(-i H0 E s) @ H @ exp(i E H0 s); the mixed ordering of the
-    two factors is what preserves antisymmetry exactly.
-    """
-    if H.n != H0.n:
-        raise DimensionMismatch("mode counts differ")
-    E = exchange_matrix(H0.n)
-    left = linalg.matrix_exponential(-1j * s * (H0.H @ E))
-    right = linalg.matrix_exponential(1j * s * (E @ H0.H))
-    return left @ H.H @ right
-
-
-@dataclass(frozen=True)
-class MomentGenerator:
-    """One-sided generator -i * kron_sum(E K, m) of m-th order moments."""
-
-    order: int
-    matrix: np.ndarray
-
-
-def moment_generator(K: FermionHamiltonian, m: int) -> MomentGenerator:
-    """Generator of the m-fold tensor (moment) dynamics; anti-Hermitian."""
-    mat = -1j * linalg.kron_sum(K.single_particle_generator(), m)
-    return MomentGenerator(order=m, matrix=mat)
+def moment_generator(K: FermionHamiltonian, m: int) -> np.ndarray:
+    """Generator -i * kron_sum(E K, m) of the m-fold tensor (moment)
+    dynamics; anti-Hermitian."""
+    return -1j * linalg.kron_sum(K.single_particle_generator(), m)

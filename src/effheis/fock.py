@@ -128,48 +128,34 @@ def unitary_conjugation_superoperator(U: np.ndarray) -> np.ndarray:
 def averaged_unitary_moments(
     Hhat: np.ndarray,
     H0hat: np.ndarray,
-    operators,
+    products,
     t: float,
     tol: float = DEFAULT_RESONANCE_TOL,
-    numeric: bool = False,
-    numeric_T: float = 200.0,
-    numeric_steps: int = 20000,
 ) -> np.ndarray:
-    """Long-time average of X_1(s;t) ... X_m(s;t) over the free-frame shift s,
-    where X_k(s;t) conjugates X_k by exp(i Hhat(s) t).
+    """Long-time average of M(s) X M(s)^dag over the free-frame shift s, for
+    each operator product X = X_1 ... X_m in ``products``, where
+    M(s) = exp(i Hhat(s) t) is exp(i Hhat t) in the frame shifted by s.
 
-    Evaluated exactly by Bohr-frequency decomposition: with M = exp(i Hhat t)
-    and X the operator product, the average equals
-    sum over cluster projectors a, b, c, d of H0hat with
-    (e_a - e_b) + (e_c - e_d) = 0 of  Pi_a M Pi_b X Pi_c M^dag Pi_d.
+    Evaluated exactly by Bohr-frequency decomposition: with M = exp(i Hhat t),
+    the average equals the sum over cluster projectors a, b, c, d of H0hat
+    with (e_a - e_b) + (e_c - e_d) = 0 of  Pi_a M Pi_b X Pi_c M^dag Pi_d.
     In the eigenbasis of H0hat (M' = V^dag M V, X' = V^dag X V) that is one
     masked contraction: entry (a, d) sums M'_ab X'_bc (M'^dag)_cd over the
     eigenvector pairs (b, c) whose cluster means satisfy the same condition.
-    The numeric flag switches to a finite-T trapezoidal s-average (sanity
-    check only; slowly convergent).
+    Returns the stack of averages, one per product.
     """
     H0hat = linalg.as_matrix(H0hat)
     Hhat = linalg.as_matrix(Hhat)
     _check_superop_modes(H0hat.shape[0])
-    X = np.eye(H0hat.shape[0], dtype=complex)
-    for op in operators:
-        X = X @ linalg.as_matrix(op)
+    X = np.array([linalg.as_matrix(x) for x in products])
     M = linalg.matrix_exponential(1j * t * Hhat)
-    if numeric:
-        s_grid = np.linspace(0.0, numeric_T, numeric_steps)
-        eig0 = linalg.hermitian_eigendecompose(H0hat)
-        acc = np.zeros_like(X)
-        for idx, s in enumerate(s_grid):
-            Us = (eig0.basis * np.exp(1j * eig0.eigenvalues * s)) @ eig0.basis.conj().T
-            Ms = Us.conj().T @ M @ Us
-            weight = 0.5 if idx in (0, len(s_grid) - 1) else 1.0
-            acc += weight * (Ms @ X @ Ms.conj().T)
-        return acc / (numeric_steps - 1)
     part = resonance_partition(H0hat, tol)
     eig = part.decomposition
-    Mp, Xp = eig.to_eigenbasis(M), eig.to_eigenbasis(X)
-    keep = _resonant_quadruples(part)
-    return eig.from_eigenbasis(np.einsum("ab,bc,cd,abcd->ad", Mp, Xp, Mp.conj().T, keep))
+    Mp = eig.to_eigenbasis(M)
+    # kernel[a, b, c, d] = M'_ab (M'^dag)_cd on the resonant quadruples
+    kernel = np.where(_resonant_quadruples(part),
+                      Mp[:, :, None, None] * Mp.conj().T[None, None, :, :], 0.0)
+    return eig.from_eigenbasis(np.tensordot(eig.to_eigenbasis(X), kernel, axes=([1, 2], [1, 2])))
 
 
 def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t: float) -> float:

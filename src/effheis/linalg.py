@@ -93,7 +93,7 @@ def hermitian_eigendecompose(M: np.ndarray) -> HermitianEigenDecomposition:
     return HermitianEigenDecomposition(eigenvalues=w.real, basis=V)
 
 
-def matrix_exponential(A: np.ndarray, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
+def matrix_exponential(A: np.ndarray) -> np.ndarray:
     """exp(A) for a square complex matrix.
 
     Anti-Hermitian inputs (A = -iM, M Hermitian) take an eigenbasis fast
@@ -103,11 +103,11 @@ def matrix_exponential(A: np.ndarray, norm_cap: float = EXP_NORM_CAP) -> np.ndar
     Raises
     ------
     Overflow
-        If ``max_abs(A) > norm_cap``.
+        If ``max_abs(A) > EXP_NORM_CAP``.
     """
     A = as_matrix(A)
-    if max_abs(A) > norm_cap:
-        raise Overflow(f"max_abs(A)={max_abs(A):.3e} exceeds cap {norm_cap:.3e}")
+    if max_abs(A) > EXP_NORM_CAP:
+        raise Overflow(f"max_abs(A)={max_abs(A):.3e} exceeds cap {EXP_NORM_CAP:.3e}")
     if max_abs(A + A.conj().T) < 1e-10 * (1.0 + max_abs(A)):
         eig = hermitian_eigendecompose(1j * A)
         phases = np.exp(-1j * eig.eigenvalues)

@@ -109,18 +109,13 @@ def numeric_time_average(
     if X.shape[0] != eig.dim:
         raise DimensionMismatch(f"X dim {X.shape[0]} != generator dim {eig.dim}")
     Y = eig.to_eigenbasis(X)
-    delta = eig.eigenvalues[:, None] - eig.eigenvalues[None, :]
+    delta = (eig.eigenvalues[:, None] - eig.eigenvalues[None, :]).ravel()
     s_grid = np.linspace(0.0, T, steps)
-    # entrywise phase averages; cache repeated frequency differences
-    cache: dict = {}
-    avg = np.empty_like(Y)
-    for a in range(eig.dim):
-        for b in range(eig.dim):
-            key = round(float(delta[a, b]), 14)
-            if key not in cache:
-                cache[key] = np.trapezoid(np.exp(-1j * delta[a, b] * s_grid), s_grid) / T
-            avg[a, b] = cache[key]
-    return eig.from_eigenbasis(Y * avg)
+    # one phase average per distinct frequency difference (rounded to 1e-14),
+    # one at a time: a (frequencies, steps) array would hold every phase at once
+    _, first, inverse = np.unique(np.round(delta, 14), return_index=True, return_inverse=True)
+    avg = np.array([np.trapezoid(np.exp(-1j * w * s_grid), s_grid) for w in delta[first]]) / T
+    return eig.from_eigenbasis(Y * avg[inverse].reshape(Y.shape))
 
 
 def free_moment_generator_hermitian(split: SplitHamiltonian, m: int) -> np.ndarray:
@@ -133,6 +128,6 @@ def effective_propagator(
 ) -> np.ndarray:
     """Averaged m-th moment propagator: project exp(h t) onto resonant blocks
     of the free generator, h = -i kron_sum(E(H0 + lambda HI), m)."""
-    h = moment_generator(split.total(), m).matrix
+    h = moment_generator(split.total(), m)
     M0 = free_moment_generator_hermitian(split, m)
     return project(linalg.matrix_exponential(h * t), M0, tol)

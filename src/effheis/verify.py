@@ -15,7 +15,6 @@ from .errors import TooManyModes
 from .fermion import (
     FermionHamiltonian,
     SplitHamiltonian,
-    exchange_matrix,
     tilde_conjugate,
     validate_fermion,
 )
@@ -140,14 +139,10 @@ def moment_equivalence_residual(split: SplitHamiltonian, m: int, t: float, tol: 
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
     W = effective_propagator(split, m, t, tol)
-    products = operator_products(rep, m)
-    ops = rep.operator_vector
-    worst = 0.0
-    for row, multi in enumerate(itertools.product(range(len(ops)), repeat=m)):
-        oracle = averaged_unitary_moments(Hhat, H0hat, [ops[j] for j in multi], t)
-        approx = sum(W[row, col] * products[col] for col in range(len(products)))
-        worst = max(worst, linalg.max_abs(oracle - approx))
-    return worst
+    products = np.array(operator_products(rep, m))
+    oracle = averaged_unitary_moments(Hhat, H0hat, products, t)
+    approx = np.tensordot(W, products, axes=1)
+    return linalg.max_abs(oracle - approx)
 
 
 def stationarity_residual(

@@ -3,7 +3,6 @@ import pytest
 
 from effheis import linalg
 from effheis.boson import (
-    bosonic_interaction_frame,
     divergence_demo,
     stability_check,
     symplectic_matrix,
@@ -43,7 +42,7 @@ class TestValidateBoson:
         validate_boson(np.eye(2), 1)
 
     def test_rejects_antisymmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotSymmetric, match=r"\(H - H\^T\)\[\(0, 1\)\] = 2\.000e\+00"):
             validate_boson([[0, -1], [1, 0]], 1)
 
     def test_rejects_tilde_violation(self):
@@ -91,32 +90,6 @@ class TestStabilityCheck:
         b = stability_check(H0).eigenvalues
         assert np.array_equal(a, b)
         assert np.all(np.diff(a.real) >= -1e-12)
-
-
-class TestInteractionFrame:
-    def test_s0(self):
-        H = validate_boson(harmonic([1.0]), 1)
-        H0 = validate_boson(harmonic([2.0]), 1)
-        np.testing.assert_allclose(bosonic_interaction_frame(H, H0, 0.0), H.H, atol=1e-14)
-
-    def test_stable_frame_stays_bounded(self):
-        H = validate_boson(harmonic([1.0]), 1)
-        H0 = validate_boson(harmonic([3.0]), 1)
-        for s in (1.0, 10.0, 100.0):
-            assert linalg.max_abs(bosonic_interaction_frame(H, H0, s)) < 10.0
-
-    def test_unstable_frame_grows(self):
-        H = validate_boson(harmonic([1.0]), 1)
-        H0 = validate_boson(np.eye(2), 1)
-        small = linalg.max_abs(bosonic_interaction_frame(H, H0, 1.0))
-        large = linalg.max_abs(bosonic_interaction_frame(H, H0, 8.0))
-        assert large > 100 * small
-
-    def test_mode_count_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            bosonic_interaction_frame(
-                validate_boson(np.eye(2), 1), validate_boson(harmonic([1.0, 2.0]), 2), 0.5
-            )
 
 
 class TestDivergenceDemo:

@@ -84,16 +84,27 @@ class TestValidate:
             {"boson": {"T_list": 5}},
             {"boson": {"T_list": [10.0, -1.0]}},
             {"boson": {"X": [[[0.0, 0.0]] * 3] * 3, "T_list": [1.0]}},
+            {"boson": {"H0": 5, "T_list": [1.0]}},
+            {"HI": {"hopping": 5}},
+            {"H0": {"matrix": [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [float("nan"), 0.0]]]},
+             "n": 1, "HI": {"frequencies": [1.0]}},
+            {"boson": {"H0": {"matrix": [[[float("inf"), 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]}}},
+            {"boson": {"H0": {"matrix": [[[0.0, 0.0]] * 4] * 4, "frequencies": [1.0, 2.0]}}},
         ],
         ids=["negative-t_end", "string-m", "fractional-m", "hopping-k-above-n",
              "nan-frequency", "hopping-without-g", "string-tolerance",
-             "string-T_list", "scalar-T_list", "negative-T_list", "X-wrong-dimension"],
+             "string-T_list", "scalar-T_list", "negative-T_list", "X-wrong-dimension",
+             "scalar-boson-H0", "scalar-hopping", "nan-matrix", "infinite-boson-matrix",
+             "boson-matrix-and-frequencies"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, {**BASE, **change})
-        code, _ = run(tmp_path, "evolve", "--config", cfg, "--order", "2")
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        # evolve never reads the boson section, so boson cases run through validate
+        commands = [["validate"]] if "boson" in change else [["validate"], ["evolve", "--order", "2"]]
+        for command in commands:
+            code, _ = run(tmp_path, command[0], "--config", cfg, *command[1:])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
 
 
 class TestEvolve:

@@ -99,6 +99,21 @@ def loop_averaged_conjugation(Hhat, H0hat, X, t, tol=1e-9):
     return out
 
 
+def finite_time_averaged_conjugation(Hhat, H0hat, X, t, T, steps):
+    """Reference: trapezoidal average over s in [0, T] of M(s) X M(s)^dag,
+    M(s) = U(s)^dag exp(i Hhat t) U(s) with U(s) = exp(i H0hat s); converges
+    slowly, at O(1/T)."""
+    M = linalg.matrix_exponential(1j * t * Hhat)
+    eig0 = linalg.hermitian_eigendecompose(H0hat)
+    acc = np.zeros_like(X)
+    for idx, s in enumerate(np.linspace(0.0, T, steps)):
+        Us = (eig0.basis * np.exp(1j * eig0.eigenvalues * s)) @ eig0.basis.conj().T
+        Ms = Us.conj().T @ M @ Us
+        weight = 0.5 if idx in (0, steps - 1) else 1.0
+        acc += weight * (Ms @ X @ Ms.conj().T)
+    return acc / (steps - 1)
+
+
 def free_hamiltonians(n, rng):
     """A non-diagonal H0hat (eigenbasis not a permutation) and a degenerate
     diagonal one (frequencies 1, 1, 2 truncated to n modes)."""
@@ -130,10 +145,11 @@ class TestMaskMatchesClusterLoops:
         d = 2**n
         Hhat = quadratize(random_valid_fermion(n, rng), jordan_wigner(n))
         for H0hat in free_hamiltonians(n, rng):
-            X = random_complex(d, rng)
-            want = loop_averaged_conjugation(Hhat, H0hat, X, 0.7)
-            got = averaged_unitary_moments(Hhat, H0hat, [X], 0.7)
-            assert linalg.max_abs(got - want) < 1e-12
+            products = [random_complex(d, rng) for _ in range(3)]
+            got = averaged_unitary_moments(Hhat, H0hat, products, 0.7)
+            for X, average in zip(products, got, strict=True):
+                want = loop_averaged_conjugation(Hhat, H0hat, X, 0.7)
+                assert linalg.max_abs(average - want) < 1e-12
 
 
 class TestProjectSuperoperator:
@@ -169,7 +185,7 @@ class TestAveragedUnitaryMoments:
         t = 0.8
         M = linalg.matrix_exponential(1j * t * Hhat)
         want = M @ X @ M.conj().T
-        got = averaged_unitary_moments(Hhat, H0hat, [X], t)
+        got = averaged_unitary_moments(Hhat, H0hat, [X], t)[0]
         assert linalg.max_abs(got - want) < 1e-12
 
     def test_t0_is_identity(self, rng):
@@ -177,7 +193,7 @@ class TestAveragedUnitaryMoments:
         # so the average returns X unchanged
         H0hat = np.diag([0.0, 1.0, 1.0, 2.0])
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        got = averaged_unitary_moments(H0hat, H0hat, [X], 0.0)
+        got = averaged_unitary_moments(H0hat, H0hat, [X], 0.0)[0]
         assert linalg.max_abs(got - X) < 1e-12
 
     def test_matches_projected_superoperator(self, rng):
@@ -192,7 +208,7 @@ class TestAveragedUnitaryMoments:
         )
         PPhi = project_superoperator(Phi, H0hat)
         want = (PPhi @ X.flatten(order="F")).reshape((4, 4), order="F")
-        got = averaged_unitary_moments(Hhat, H0hat, [X], t)
+        got = averaged_unitary_moments(Hhat, H0hat, [X], t)[0]
         assert linalg.max_abs(got - want) < 1e-10
 
     def test_operator_product_tensor_reduction(self, offres_split):
@@ -208,10 +224,8 @@ class TestAveragedUnitaryMoments:
         rep = jordan_wigner(2)
         Hhat, H0hat = quadratize(H, rep), quadratize(H0, rep)
         X = rep.annihilators[0]
-        exact = averaged_unitary_moments(Hhat, H0hat, [X], 0.6)
-        approx = averaged_unitary_moments(
-            Hhat, H0hat, [X], 0.6, numeric=True, numeric_T=500.0, numeric_steps=50000
-        )
+        exact = averaged_unitary_moments(Hhat, H0hat, [X], 0.6)[0]
+        approx = finite_time_averaged_conjugation(Hhat, H0hat, X, 0.6, T=500.0, steps=50000)
         assert linalg.max_abs(exact - approx) < 5e-3
 
 

@@ -8,7 +8,6 @@ from effheis.fermion import SplitHamiltonian
 from effheis.perturbation import (
     SERIES_SWITCH,
     general_kappa,
-    interaction_hI,
     kappa12,
     mu1,
     mu2_closed,
@@ -43,9 +42,36 @@ class TestSpectralFunction:
             spectral_function(np.array(z), t, "phi") - (np.exp(tz) - 1 - tz) / z**2
         ) < 1e-7
 
+    @pytest.mark.parametrize("kind", ["psi", "phi"])
+    def test_matches_mpmath(self, kind):
+        # 50-digit reference for |z| = |t d| in [1e-8, 30], on the imaginary
+        # axis and two general complex rays, across the series switch
+        import mpmath
+
+        t = 0.7
+        radii = np.geomspace(1e-8, 30.0, 301)
+        delta = np.concatenate([radii * np.exp(1j * angle) / t for angle in (np.pi / 2, 0.3, 2.5)])
+        got = spectral_function(delta, t, kind)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for d, value in zip(delta, got):
+                d_mp, t_mp = mpmath.mpc(d.real, d.imag), mpmath.mpf(t)
+                z = t_mp * d_mp
+                if kind == "psi":
+                    ref = mpmath.expm1(z) / d_mp
+                else:
+                    ref = (mpmath.expm1(z) - z) / d_mp**2
+                worst = max(worst, float(abs(value - ref) / abs(ref)))
+        assert worst <= 1e-13
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             spectral_function(np.array(0.0), 1.0, "chi")
+
+
+def interaction_hI(hI, h0, t):
+    """Dense reference for the interaction-picture generator exp(-h0 t) hI exp(h0 t)."""
+    return linalg.matrix_exponential(-h0 * t) @ hI @ linalg.matrix_exponential(h0 * t)
 
 
 class TestInteractionPicture:
@@ -62,9 +88,9 @@ class TestInteractionPicture:
     def test_generates_interaction_frame_derivative(self, offres_split):
         # d/dt [exp(-h0 t) exp(h t)] = lambda hI(t) exp(-h0 t) exp(h t)
         lam = offres_split.coupling
-        h0 = eh.moment_generator(offres_split.base, 1).matrix
-        hI = eh.moment_generator(offres_split.interaction, 1).matrix
-        h = eh.moment_generator(offres_split.total(), 1).matrix
+        h0 = eh.moment_generator(offres_split.base, 1)
+        hI = eh.moment_generator(offres_split.interaction, 1)
+        h = eh.moment_generator(offres_split.total(), 1)
 
         def v(t):
             return linalg.matrix_exponential(-h0 * t) @ linalg.matrix_exponential(h * t)
@@ -110,7 +136,7 @@ class TestDysonMoments:
         assert linalg.max_abs(mu1(offres_split, 1)(1.0)) < 1e-14
 
     def test_mu1_resonant(self, resonant_split):
-        hI = eh.moment_generator(resonant_split.interaction, 1).matrix
+        hI = eh.moment_generator(resonant_split.interaction, 1)
         np.testing.assert_allclose(mu1(resonant_split, 1)(0.7), 0.7 * hI, atol=1e-12)
 
     def test_mu1_t0(self, detuned_split):
@@ -121,7 +147,7 @@ class TestDysonMoments:
 
     def test_mu2_commuting(self, resonant_split):
         t = 1.1
-        hI = eh.moment_generator(resonant_split.interaction, 1).matrix
+        hI = eh.moment_generator(resonant_split.interaction, 1)
         M0 = free_moment_generator_hermitian(resonant_split, 1)
         want = t**2 / 2 * project(hI @ hI, M0)
         assert linalg.max_abs(mu2_closed(resonant_split, 1)(t) - want) < 1e-12
@@ -159,7 +185,7 @@ class TestCumulants:
     def test_kappa2_commuting_closed_form(self, resonant_split):
         t = 0.9
         gen = kappa12(resonant_split, 1)
-        hI = eh.moment_generator(resonant_split.interaction, 1).matrix
+        hI = eh.moment_generator(resonant_split.interaction, 1)
         M0 = free_moment_generator_hermitian(resonant_split, 1)
         P = lambda X: project(X, M0)
         want = t * P(hI @ hI) - t * (P(hI) @ P(hI))
@@ -182,7 +208,7 @@ class TestCumulants:
         # B_j = P(hI^j); here hI sits inside resonant blocks so B_j = hI^j
         # and the polynomial cancels to zero
         t = 0.7
-        hI = eh.moment_generator(resonant_split.interaction, 1).matrix
+        hI = eh.moment_generator(resonant_split.interaction, 1)
         M0 = free_moment_generator_hermitian(resonant_split, 1)
         P = lambda X: project(X, M0)
         B1, B2, B3 = P(hI), P(hI @ hI), P(hI @ hI @ hI)
@@ -211,12 +237,12 @@ class TestExpansionProperties:
         t = 1.0
         m1 = mu1(detuned_split, 1)(t)
         m2 = mu2_closed(detuned_split, 1)(t)
-        h0 = eh.moment_generator(detuned_split.base, 1).matrix
+        h0 = eh.moment_generator(detuned_split.base, 1)
         M0 = free_moment_generator_hermitian(detuned_split, 1)
         errors = []
         for lam in (0.2, 0.1, 0.05):
             split = replace(detuned_split, coupling=lam)
-            h = eh.moment_generator(split.total(), 1).matrix
+            h = eh.moment_generator(split.total(), 1)
             v = linalg.matrix_exponential(-h0 * t) @ linalg.matrix_exponential(h * t)
             Pv = project(v, M0)
             approx = np.eye(4) + lam * m1 + lam**2 * m2

@@ -111,13 +111,13 @@ class TestEffectivePropagator:
 
         split = replace(offres_split, coupling=0.0)
         t = 1.3
-        h0 = eh.moment_generator(split.base, 1).matrix
+        h0 = eh.moment_generator(split.base, 1)
         got = effective_propagator(split, 1, t)
         assert linalg.max_abs(got - linalg.matrix_exponential(h0 * t)) < 1e-12
 
     def test_commuting_case(self, resonant_split):
         t = 0.9
-        h = eh.moment_generator(resonant_split.total(), 1).matrix
+        h = eh.moment_generator(resonant_split.total(), 1)
         got = effective_propagator(resonant_split, 1, t)
         assert linalg.max_abs(got - linalg.matrix_exponential(h * t)) < 1e-10
 
