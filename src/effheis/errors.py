@@ -62,7 +62,7 @@ class GridMismatch(EffheisError):
 
 
 class DegenerateFit(EffheisError):
-    """Every error of an order study sits at the integrator's floor."""
+    """Every error of an order study is round-off: the model is exactly solvable."""
 
     def __init__(self, message: str, errors: list):
         super().__init__(message)

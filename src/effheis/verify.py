@@ -71,12 +71,12 @@ def matrix_projector_law_residuals(
     part = resonance_partition(M0, tol)
     dim = M0.shape[0]
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0, "linearity": 0.0}
+    Us = [linalg.matrix_exponential(1j * t * M0) for t in (0.3, 1.7)]  # exp(-h0 t)
     for _ in range(samples):
         X = random_complex(dim, rng)
         PX = project_with(X, part)
         res["idempotency"] = max(res["idempotency"], linalg.max_abs(project_with(PX, part) - PX))
-        for t in (0.3, 1.7):
-            U = linalg.matrix_exponential(1j * t * M0)  # exp(-h0 t)
+        for U in Us:
             res["commutation"] = max(res["commutation"], linalg.max_abs(PX @ U - U @ PX))
             res["pulling"] = max(
                 res["pulling"], linalg.max_abs(project_with(U @ X, part) - U @ PX)
@@ -101,15 +101,17 @@ def superoperator_law_residuals(
     H0hat = quadratize(split.base, rep)
     d = rep.dim
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0}
+    Fs = [
+        unitary_conjugation_superoperator(linalg.matrix_exponential(1j * t * H0hat))
+        for t in (0.3, 1.7)
+    ]
     for _ in range(samples):
         Phi = random_complex(d * d, rng)
         PPhi = project_superoperator(Phi, H0hat)
         res["idempotency"] = max(
             res["idempotency"], linalg.max_abs(project_superoperator(PPhi, H0hat) - PPhi)
         )
-        for t in (0.3, 1.7):
-            U = linalg.matrix_exponential(1j * t * H0hat)
-            F = unitary_conjugation_superoperator(U)
+        for F in Fs:
             res["commutation"] = max(res["commutation"], linalg.max_abs(PPhi @ F - F @ PPhi))
             res["pulling"] = max(
                 res["pulling"],
@@ -140,7 +142,7 @@ def moment_equivalence_residual(split: SplitHamiltonian, m: int, t: float, tol: 
     H0hat = quadratize(split.base, rep)
     W = effective_propagator(split, m, t, tol)
     products = np.array(operator_products(rep, m))
-    oracle = averaged_unitary_moments(Hhat, H0hat, products, t)
+    oracle = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
     approx = np.tensordot(W, products, axes=1)
     return linalg.max_abs(oracle - approx)
 

@@ -17,7 +17,6 @@ from effheis import linalg
 from effheis.cli import main
 from effheis.boson import divergence_demo, stability_check, validate_boson
 from effheis.dynamics import (
-    ORDER_STUDY_MAX_DT,
     TimeGrid,
     compare,
     exact_series,
@@ -128,7 +127,7 @@ def test_08_exactly_solvable(offres_split, resonant_split):
     h0 = eh.moment_generator(free.base, 1)
     for series in (
         exact_series(free, 1, grid),
-        integrate_time_local(kappa12(free, 1), 2, grid, max_dt=ORDER_STUDY_MAX_DT),
+        integrate_time_local(kappa12(free, 1), 2, grid),
     ):
         for t, val in zip(grid.times, series.values):
             worst = max(worst, linalg.max_abs(val - linalg.matrix_exponential(h0 * t)))
@@ -136,9 +135,7 @@ def test_08_exactly_solvable(offres_split, resonant_split):
     h = eh.moment_generator(resonant_split.total(), 1)
     for series in (
         exact_series(resonant_split, 1, grid),
-        integrate_time_local(
-            kappa12(resonant_split, 1), 2, grid, max_dt=ORDER_STUDY_MAX_DT
-        ),
+        integrate_time_local(kappa12(resonant_split, 1), 2, grid),
     ):
         for t, val in zip(grid.times, series.values):
             worst = max(worst, linalg.max_abs(val - linalg.matrix_exponential(h * t)))

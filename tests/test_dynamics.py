@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effheis as eh
 from effheis import linalg
@@ -16,6 +19,40 @@ from effheis.dynamics import (
 from effheis.errors import DegenerateFit, GridMismatch, StepTooLarge
 from effheis.perturbation import kappa12
 from effheis.projector import effective_propagator
+from effheis.verify import random_valid_fermion
+
+
+def dense_rk4(gen, order, grid, max_step=1e-3):
+    """Reference: classic RK4 on dPsi/dt = l(t) Psi in the original basis,
+    each grid interval cut into substeps of at most max_step."""
+    substeps = max(1, math.ceil(grid.dt / max_step))
+    dt = grid.dt / substeps
+    psi = np.eye(gen.h0.shape[0], dtype=complex)
+    values = [psi]
+    t = 0.0
+    for _ in range(grid.steps):
+        for _ in range(substeps):
+            k1 = gen.at(t, order) @ psi
+            k2 = gen.at(t + dt / 2, order) @ (psi + dt / 2 * k1)
+            k3 = gen.at(t + dt / 2, order) @ (psi + dt / 2 * k2)
+            k4 = gen.at(t + dt, order) @ (psi + dt * k3)
+            psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += dt
+        values.append(psi)
+    return values
+
+
+@st.composite
+def random_generators(draw):
+    """kappa12 of a random valid split: n, m in {1, 2}, coupling <= 0.2."""
+    n = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2]))
+    lam = draw(st.floats(0.0, 0.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    split = eh.SplitHamiltonian(
+        base=random_valid_fermion(n, rng), interaction=random_valid_fermion(n, rng), coupling=lam
+    )
+    return kappa12(split, m)
 
 
 class TestTimeGrid:
@@ -73,18 +110,53 @@ class TestIntegrateTimeLocal:
 
     def test_step_halving_self_consistency(self, detuned_split):
         gen = kappa12(detuned_split, 1)
-        coarse = integrate_time_local(gen, 2, TimeGrid(1.0, 10), max_dt=1e-2)
-        fine = integrate_time_local(gen, 2, TimeGrid(1.0, 10), max_dt=5e-3)
+        coarse = integrate_time_local(gen, 2, TimeGrid(1.0, 100))
+        fine = integrate_time_local(gen, 2, TimeGrid(1.0, 200))
         diff = max(
-            linalg.max_abs(a - b) for a, b in zip(coarse.values, fine.values)
+            linalg.max_abs(a - b) for a, b in zip(coarse.values, fine.values[::2])
         )
         # diff is dominated by the coarse-step truncation error
         assert diff < 1e-8
 
+    def test_order2_matches_dense_rk4_noncommuting(self, rng):
+        # a degenerate pair next to a third mode: kappa2(t) does not commute
+        # with h0 + lambda kappa1, so the frame rotation of kappa2 matters
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.0, 2.0]),
+            interaction=random_valid_fermion(3, rng),
+            coupling=0.2,
+        )
+        gen = kappa12(split, 1)
+        l1 = gen.h0 + gen.coupling * gen.kappa1
+        assert linalg.max_abs(l1 @ gen.kappa2_of_t(0.7) - gen.kappa2_of_t(0.7) @ l1) > 1e-2
+        grid = TimeGrid(1.0, 20)
+        series = integrate_time_local(gen, 2, grid)
+        ref = dense_rk4(gen, 2, grid)
+        assert max(linalg.max_abs(a - b) for a, b in zip(series.values, ref)) < 1e-8
+
     def test_step_too_large(self, detuned_split):
         gen = kappa12(replace(detuned_split, coupling=1.0), 1)
         with pytest.raises(StepTooLarge):
-            integrate_time_local(gen, 2, TimeGrid(5.0, 1), max_dt=5.0)
+            integrate_time_local(gen, 2, TimeGrid(5.0, 1))
+
+
+class TestIntegrateTimeLocalProperties:
+    GRID = TimeGrid(1.0, 20)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(random_generators())
+    def test_order1_is_exact_exponential(self, gen):
+        l1 = gen.h0 + gen.coupling * gen.kappa1
+        series = integrate_time_local(gen, 1, self.GRID)
+        for t, val in zip(self.GRID.times, series.values):
+            assert linalg.max_abs(val - linalg.matrix_exponential(l1 * t)) < 1e-12
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(random_generators())
+    def test_order2_matches_dense_rk4(self, gen):
+        series = integrate_time_local(gen, 2, self.GRID)
+        ref = dense_rk4(gen, 2, self.GRID)
+        assert max(linalg.max_abs(a - b) for a, b in zip(series.values, ref)) < 1e-8
 
 
 class TestCompare:
@@ -128,8 +200,9 @@ class TestOrderEstimate:
         assert abs(out["slope"] - 3.0) < 0.3
 
     def test_degenerate_fit_on_commuting_model(self, resonant_split):
-        # equal frequencies: every error is the RK4 floor of the free
-        # evolution, which reaches 3.8e-12 at omega = 1.7, m = 2
+        # equal frequencies: kappa2 vanishes and h0 + lambda kappa1 is
+        # exponentiated exactly, so every error is round-off, also at the
+        # faster omega = 1.7, m = 2
         faster = replace(resonant_split, base=eh.diagonal_modes([1.7, 1.7]))
         for split, m in ((resonant_split, 1), (faster, 2)):
             with pytest.raises(DegenerateFit) as info:

@@ -239,6 +239,18 @@ class TestRunVerification:
         result = run_verification(split, 1, seed=0)
         assert result["all_pass"], result["checks"]
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_moment_equivalence_at_coarse_tolerance(self, m):
+        # the two frequencies resonate at tol 1e-4 but not at 1e-9: the Fock
+        # side must average at the same tolerance as the matrix side
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.0 + 1e-6]),
+            interaction=eh.hopping(2, 1, 2, 0.1),
+            coupling=1.0,
+        )
+        result = run_verification(split, m, resonance_tol=1e-4)
+        assert result["checks"]["moment_equivalence"]["residual"] <= 1e-8
+
 
 class TestCheckHeisenbergReduction:
     def test_diagonal_hamiltonian(self):
