@@ -73,41 +73,33 @@ def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> Stabili
     )
 
 
-def divergence_demo(H0: BosonHamiltonian, X: np.ndarray, T_list, steps_per_unit: int = 200) -> dict:
-    """Finite-T trapezoidal averages of exp(-i H0 J s) X exp(i H0 J s).
+def divergence_demo(H0: BosonHamiltonian, X: np.ndarray, T_list) -> dict:
+    """Exact finite-T averages (1/T) int_0^T exp(G s) X exp(-G s) ds, G = -i H0 J.
 
-    For an unstable generator the norms grow without bound (classification
-    "divergent" when the largest-T norm exceeds 1e3 times the smallest);
-    a stable generator keeps them bounded.  Overflow at large T is caught
-    and reported as confirmation of the divergence.
+    With L = I (x) G - G^T (x) I acting on column-stacked X, the integral is
+    the top-right block of exp(B T), B = [[L, I], [0, 0]] (Van Loan 1978);
+    a T with max_abs(B T) at or above the exponential's cap takes the k-th
+    power of exp(B T / k), k the smallest count that keeps B T / k below it.
+    Norms growing by more than 1e3 from the smallest to the largest T, or
+    overflowing, classify the generator as "divergent".
     """
     X = linalg.as_matrix(X)
     gen = -1j * (H0.H @ symplectic_matrix(H0.n))
+    d2 = X.size
+    eye = np.eye(X.shape[0])
+    L = np.kron(eye, gen) - np.kron(gen.T, eye)
+    B = np.block([[L, np.eye(d2)], [np.zeros((d2, 2 * d2))]])
+    vec_X = X.reshape(-1, order="F")
     T_list = sorted(float(T) for T in T_list)
     norms = []
-    overflowed = False
     for T in T_list:
-        steps = max(500, int(steps_per_unit * T))
-        ds = T / steps
-        U_step = linalg.matrix_exponential(gen * ds)
-        V_step = linalg.matrix_exponential(-gen * ds)
-        U = np.eye(X.shape[0], dtype=complex)
-        V = np.eye(X.shape[0], dtype=complex)
-        acc = 0.5 * X.astype(complex)
+        k = int(linalg.max_abs(B) * T // linalg.EXP_NORM_CAP) + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, steps + 1):
-                U = U @ U_step
-                V = V @ V_step
-                weight = 0.5 if i == steps else 1.0
-                acc = acc + weight * (U @ X @ V)
-        avg = acc / steps
-        if not (np.all(np.isfinite(avg.real)) and np.all(np.isfinite(avg.imag))):
-            overflowed = True
-            norms.append(float("inf"))
-        else:
-            norms.append(linalg.max_abs(avg))
-    finite = [v for v in norms if np.isfinite(v)]
-    smallest = min(finite) if finite else 0.0
+            block = np.linalg.matrix_power(linalg.matrix_exponential(B * (T / k)), k)
+            avg = block[:d2, d2:] @ vec_X / T
+        norms.append(linalg.max_abs(avg) if np.all(np.isfinite(avg)) else float("inf"))
+    overflowed = not np.all(np.isfinite(norms))
+    smallest = min(norms, default=0.0)
     divergent = overflowed or (smallest > 0 and norms[-1] > 1e3 * smallest)
     return {
         "T": T_list,

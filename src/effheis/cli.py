@@ -1,7 +1,7 @@
 """Batch front-end.
 
     effheis <validate|evolve|verify|order-study|boson-check> --config FILE
-            [--out FILE] [--csv FILE] [--order K] [--lambdas L1,L2,...]
+            [--out FILE] [--csv FILE] [--order exact|1|2] [--lambdas L1,L2,...]
             [--seed S] [--expect-stable]
 
 Exit codes: 0 ok, 1 runtime error, 2 config error, 3 validation failure,
@@ -19,10 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from .boson import divergence_demo, stability_check
-from .config import ModelConfig, encode_matrix, load_config
+from .config import ModelConfig, decode_matrix, encode_matrix, load_config
 from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, order_estimate
 from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
-from .fock import MAX_SUPEROP_MODES
 from .perturbation import kappa12
 from .verify import DEFAULT_THRESHOLDS, run_verification
 
@@ -99,8 +98,7 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
         free = exact_series(replace(split, coupling=0.0), cfg.m, grid, cfg.resonance_tol)
         comparison = {"sup_error_vs_free": compare(exact, free)["sup_error"]}
     else:
-        order = int(args.order)
-        series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), order, grid)
+        series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), args.order, grid)
         comparison = {"sup_error_vs_exact": compare(exact, series)["sup_error"]}
     csv_path = args.csv or (args.out + ".csv" if args.out else None)
     if csv_path:
@@ -112,12 +110,10 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
 
 
 def cmd_verify(cfg: ModelConfig, args) -> tuple[dict, int]:
-    if cfg.n > MAX_SUPEROP_MODES:
-        raise TooManyModes(f"verify requires n <= {MAX_SUPEROP_MODES}, got n={cfg.n}")
     split = cfg.split()
-    thresholds = None
-    if cfg.report_tol is not None:
-        thresholds = dict.fromkeys(DEFAULT_THRESHOLDS, cfg.report_tol)
+    thresholds = (
+        None if cfg.report_tol is None else dict.fromkeys(DEFAULT_THRESHOLDS, cfg.report_tol)
+    )
     seed = cfg.seed if args.seed is None else args.seed
     result = run_verification(
         split, cfg.m, seed=seed, resonance_tol=cfg.resonance_tol, thresholds=thresholds
@@ -128,6 +124,8 @@ def cmd_verify(cfg: ModelConfig, args) -> tuple[dict, int]:
 def cmd_order_study(cfg: ModelConfig, args) -> tuple[dict, int]:
     if not args.lambdas:
         raise ConfigError("order-study requires --lambdas L1,L2,...")
+    if args.order == "exact":
+        raise ConfigError("order-study needs a time-local order, --order 1 or 2")
     try:
         lambdas = [float(x) for x in args.lambdas.split(",")]
     except ValueError as exc:
@@ -137,10 +135,9 @@ def cmd_order_study(cfg: ModelConfig, args) -> tuple[dict, int]:
     if len(lambdas) < 3:
         raise ConfigError("order-study needs at least 3 coupling values")
     grid = TimeGrid(t_end=cfg.grid_t_end, steps=cfg.grid_steps)
-    order = int(args.order) if args.order not in (None, "exact") else 2
-    payload = {"order": order, "lambdas": lambdas}
+    payload = {"order": args.order, "lambdas": lambdas}
     try:
-        fit = order_estimate(cfg.split(), cfg.m, grid, lambdas, order, cfg.resonance_tol)
+        fit = order_estimate(cfg.split(), cfg.m, grid, lambdas, args.order, cfg.resonance_tol)
         payload.update(errors=fit["errors"], degenerate_fit=False, slope=fit["slope"])
     except DegenerateFit as exc:
         payload.update(errors=exc.errors, degenerate_fit=True, slope=None)
@@ -155,17 +152,10 @@ def cmd_boson_check(cfg: ModelConfig, args) -> tuple[dict, int]:
         "max_imag": report.max_imag,
         "eigenvalues": [[float(z.real), float(z.imag)] for z in report.eigenvalues],
     }
-    boson = cfg.boson or {}
-    if "X" in boson and "T_list" in boson:
-        from .config import decode_matrix
-
-        demo = divergence_demo(H0, decode_matrix(boson["X"]), boson["T_list"])
-        payload["divergence_demo"] = {
-            "T": demo["T"],
-            "norms": [v if np.isfinite(v) else "overflow" for v in demo["norms"]],
-            "classification": demo["classification"],
-            "overflow": demo["overflow"],
-        }
+    if "X" in cfg.boson and "T_list" in cfg.boson:
+        demo = divergence_demo(H0, decode_matrix(cfg.boson["X"]), cfg.boson["T_list"])
+        norms = [v if np.isfinite(v) else "overflow" for v in demo["norms"]]
+        payload["divergence_demo"] = {**demo, "norms": norms}
     code = EXIT_OK
     if args.expect_stable and report.classification == "unstable":
         code = EXIT_EXPECTATION
@@ -181,13 +171,18 @@ COMMANDS = {
 }
 
 
+def _order(text: str):
+    """--order: the time-local order as an integer, any other text as is."""
+    return int(text) if text.isdigit() else text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effheis", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--csv", default=None)
-    parser.add_argument("--order", default="2", help="exact, 1 or 2")
+    parser.add_argument("--order", default=2, type=_order, choices=("exact", 1, 2))
     parser.add_argument("--lambdas", default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--expect-stable", action="store_true")
@@ -195,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, like the config's seed, got {args.seed}")
     t0 = time.monotonic()
     try:
         cfg = load_config(args.config)

@@ -18,8 +18,9 @@ import numpy as np
 from .boson import BosonHamiltonian, validate_boson
 from .errors import ConfigError, IndexOutOfRange
 from .fermion import FermionHamiltonian, SplitHamiltonian, diagonal_modes, hopping, validate_fermion
+from .projector import DEFAULT_RESONANCE_TOL
 
-DEFAULT_TOLERANCES = {"resonance": 1e-9, "report": None}
+TOP_LEVEL_KEYS = ("n", "m", "lambda", "H0", "HI", "grid", "tolerances", "seed", "boson")
 
 
 def encode_matrix(M: np.ndarray) -> list:
@@ -45,22 +46,35 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _positive(value, name: str) -> float:
+    if _number(value, name) <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
 def _integer(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
+def _known_keys(section: dict, allowed: tuple, name: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+
+
 def _read_spec(spec, n: int, kinds: tuple) -> tuple[str, object]:
-    """Check that a Hamiltonian spec is an object with exactly one of
+    """Check that a Hamiltonian spec is an object whose one key is one of
     ``kinds`` and return that kind with its value: a decoded matrix, a list
     of n finite frequencies, or the raw value of any other kind."""
     if not isinstance(spec, dict):
         raise ConfigError(f"Hamiltonian spec must be an object, got {spec!r}")
-    found = [kind for kind in kinds if kind in spec]
-    if len(found) != 1:
-        raise ConfigError(f"Hamiltonian spec needs exactly one of {'/'.join(kinds)}")
-    kind, value = found[0], spec[found[0]]
+    if len(spec) != 1 or next(iter(spec)) not in kinds:
+        raise ConfigError(
+            f"Hamiltonian spec needs exactly one of {'/'.join(kinds)}, got {sorted(spec)}"
+        )
+    kind, value = next(iter(spec.items()))
     if kind == "matrix":
         return kind, decode_matrix(value)
     if kind == "frequencies":
@@ -80,8 +94,8 @@ def _build_fermion(spec, n: int) -> FermionHamiltonian:
         raise ConfigError(f"hopping must be a list of terms, got {value!r}")
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     for term in value:
-        if not isinstance(term, dict) or not {"j", "k", "g"} <= set(term):
-            raise ConfigError(f"hopping term needs j, k and g, got {term!r}")
+        if not isinstance(term, dict) or set(term) != {"j", "k", "g"}:
+            raise ConfigError(f"hopping term needs exactly j, k and g, got {term!r}")
         j, k = _integer(term["j"], "hopping j", 1), _integer(term["k"], "hopping k", 1)
         try:
             H = H + hopping(n, j, k, _number(term["g"], "hopping g")).H
@@ -108,19 +122,11 @@ class ModelConfig:
     HI_spec: Optional[dict]
     grid_t_end: float
     grid_steps: int
-    tolerances: dict
+    resonance_tol: float
+    report_tol: Optional[float]
     seed: int
     boson: Optional[dict]
     raw: dict = field(repr=False)
-
-    @property
-    def resonance_tol(self) -> float:
-        return float(self.tolerances.get("resonance", 1e-9))
-
-    @property
-    def report_tol(self) -> Optional[float]:
-        value = self.tolerances.get("report")
-        return None if value is None else float(value)
 
     def digest(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -146,14 +152,15 @@ def _boson_section(boson, n: int):
         return None
     if not isinstance(boson, dict):
         raise ConfigError("boson must be an object")
+    _known_keys(boson, ("H0", "X", "T_list"), "boson")
     if "X" in boson and decode_matrix(boson["X"]).shape[0] != 2 * n:
         raise ConfigError(f"boson.X must be {2 * n}x{2 * n} for n={n}")
     if "T_list" in boson:
         T_list = boson["T_list"]
         if not isinstance(T_list, list) or not T_list:
             raise ConfigError(f"boson.T_list must be a non-empty list, got {T_list!r}")
-        if any(_number(T, "boson.T_list entry") <= 0 for T in T_list):
-            raise ConfigError(f"boson.T_list entries must be positive, got {T_list!r}")
+        for T in T_list:
+            _positive(T, "boson.T_list entry")
     return boson
 
 
@@ -162,17 +169,13 @@ def parse_config(data: dict) -> ModelConfig:
         raise ConfigError("config root must be a JSON object")
     if "n" not in data:
         raise ConfigError("config is missing 'n'")
-    grid = data.get("grid", {})
-    if not isinstance(grid, dict) or not isinstance(data.get("tolerances", {}), dict):
+    _known_keys(data, TOP_LEVEL_KEYS, "config")
+    grid, tolerances = data.get("grid", {}), data.get("tolerances", {})
+    if not isinstance(grid, dict) or not isinstance(tolerances, dict):
         raise ConfigError("grid and tolerances must be objects")
-    t_end = _number(grid.get("t_end", 1.0), "grid.t_end")
-    if t_end <= 0:
-        raise ConfigError(f"grid.t_end must be positive, got {t_end!r}")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(data.get("tolerances", {}))
-    for key in DEFAULT_TOLERANCES:
-        if tolerances[key] is not None:
-            _number(tolerances[key], f"tolerances.{key}")
+    _known_keys(grid, ("t_end", "steps"), "grid")
+    _known_keys(tolerances, ("resonance", "report"), "tolerances")
+    report = tolerances.get("report")
     n = _integer(data["n"], "n", 1)
     return ModelConfig(
         n=n,
@@ -180,9 +183,12 @@ def parse_config(data: dict) -> ModelConfig:
         coupling=_number(data.get("lambda", 0.0), "lambda"),
         H0_spec=data.get("H0"),
         HI_spec=data.get("HI"),
-        grid_t_end=t_end,
+        grid_t_end=_positive(grid.get("t_end", 1.0), "grid.t_end"),
         grid_steps=_integer(grid.get("steps", 200), "grid.steps", 1),
-        tolerances=tolerances,
+        resonance_tol=_positive(
+            tolerances.get("resonance", DEFAULT_RESONANCE_TOL), "tolerances.resonance"
+        ),
+        report_tol=None if report is None else _positive(report, "tolerances.report"),
         seed=_integer(data.get("seed", 0), "seed", 0),
         boson=_boson_section(data.get("boson"), n),
         raw=data,

@@ -29,6 +29,7 @@ from .fock import (
 )
 from .perturbation import resonance_frame
 from .projector import (
+    DEFAULT_RESONANCE_TOL,
     effective_propagator,
     free_moment_generator_hermitian,
     project_with,
@@ -38,16 +39,16 @@ from .projector import (
 STATIONARITY_PAIRS = ((0.2, 0.9), (1.3, 0.4))
 
 
-def random_valid_fermion(n: int, rng: np.random.Generator, scale: float = 1.0) -> FermionHamiltonian:
+def random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def random_valid_fermion(n: int, rng: np.random.Generator) -> FermionHamiltonian:
     """Random coefficient matrix made valid by antisymmetrize-then-tilde-project."""
-    A = scale * (rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n)))
+    A = random_complex(2 * n, rng)
     A = (A - A.T) / 2
     A = (A - tilde_conjugate(A, n)) / 2
     return validate_fermion(A, n)
-
-
-def random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
 def heisenberg_reduction_residual(split: SplitHamiltonian, rng: np.random.Generator,
@@ -64,7 +65,7 @@ def heisenberg_reduction_residual(split: SplitHamiltonian, rng: np.random.Genera
 
 def matrix_projector_law_residuals(
     split: SplitHamiltonian, m: int, rng: np.random.Generator,
-    samples: int = 20, tol: float = 1e-9,
+    samples: int = 20, tol: float = DEFAULT_RESONANCE_TOL,
 ) -> dict:
     """Idempotency, commutation with free evolution, pulling, linearity."""
     M0 = free_moment_generator_hermitian(split, m)
@@ -132,11 +133,11 @@ def operator_products(rep, m: int) -> list:
     return products
 
 
-def moment_equivalence_residual(split: SplitHamiltonian, m: int, t: float, tol: float = 1e-9) -> float:
+def moment_equivalence_residual(
+    split: SplitHamiltonian, m: int, t: float, tol: float = DEFAULT_RESONANCE_TOL
+) -> float:
     """Core equivalence: matrix-level averaged moment propagator applied to
     the operator tensor versus the Fock-oracle averaged conjugation."""
-    if split.n > MAX_SUPEROP_MODES:
-        raise TooManyModes(f"oracle comparison limited to n <= {MAX_SUPEROP_MODES}")
     rep = jordan_wigner(split.n)
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
@@ -148,7 +149,7 @@ def moment_equivalence_residual(split: SplitHamiltonian, m: int, t: float, tol: 
 
 
 def stationarity_residual(
-    split: SplitHamiltonian, m: int, pairs=STATIONARITY_PAIRS, tol: float = 1e-9
+    split: SplitHamiltonian, m: int, pairs=STATIONARITY_PAIRS, tol: float = DEFAULT_RESONANCE_TOL
 ) -> float:
     """P(hI(t2) hI(t1)) = P(hI hI(t1 - t2))."""
     partition, hI = resonance_frame(split, m, tol)
@@ -174,8 +175,8 @@ DEFAULT_THRESHOLDS = {
 
 
 def run_verification(split: SplitHamiltonian, m: int, seed: int = 0,
-                     resonance_tol: float = 1e-9, thresholds: dict | None = None,
-                     times=(0.5, 1.0)) -> dict:
+                     resonance_tol: float = DEFAULT_RESONANCE_TOL,
+                     thresholds: dict | None = None) -> dict:
     """Full oracle cross-check suite; returns per-check residuals and verdicts."""
     if split.n > MAX_SUPEROP_MODES:
         raise TooManyModes(f"verification requires n <= {MAX_SUPEROP_MODES}")
@@ -193,7 +194,9 @@ def run_verification(split: SplitHamiltonian, m: int, seed: int = 0,
         "superoperator_laws": max(
             superoperator_law_residuals(split, rng, samples=superop_samples).values()
         ),
-        "moment_equivalence": max(moment_equivalence_residual(split, m, t, resonance_tol) for t in times),
+        "moment_equivalence": max(
+            moment_equivalence_residual(split, m, t, resonance_tol) for t in (0.5, 1.0)
+        ),
         "stationarity": stationarity_residual(split, m, tol=resonance_tol),
     }
     checks = {

@@ -11,6 +11,35 @@ from effheis.boson import (
 from effheis.errors import DimensionMismatch, NotSymmetric, NotTildeSymmetric
 
 
+def trapezoid_divergence_norms(H0, X, T_list, steps_per_unit=200):
+    """Reference: the stepping loop divergence_demo used before its closed
+    form, trapezoidal finite-T averages of exp(-i H0 J s) X exp(i H0 J s)."""
+    X = linalg.as_matrix(X)
+    gen = -1j * (H0.H @ symplectic_matrix(H0.n))
+    T_list = sorted(float(T) for T in T_list)
+    norms = []
+    for T in T_list:
+        steps = max(500, int(steps_per_unit * T))
+        ds = T / steps
+        U_step = linalg.matrix_exponential(gen * ds)
+        V_step = linalg.matrix_exponential(-gen * ds)
+        U = np.eye(X.shape[0], dtype=complex)
+        V = np.eye(X.shape[0], dtype=complex)
+        acc = 0.5 * X.astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, steps + 1):
+                U = U @ U_step
+                V = V @ V_step
+                weight = 0.5 if i == steps else 1.0
+                acc = acc + weight * (U @ X @ V)
+        avg = acc / steps
+        if not (np.all(np.isfinite(avg.real)) and np.all(np.isfinite(avg.imag))):
+            norms.append(float("inf"))
+        else:
+            norms.append(linalg.max_abs(avg))
+    return norms
+
+
 def harmonic(omega):
     """Coefficient matrix of sum_j omega_j (a_j^dag a_j + 1/2)."""
     n = len(omega)
@@ -114,3 +143,37 @@ class TestDivergenceDemo:
         out = divergence_demo(H0, np.zeros((2, 2)), [1.0, 5.0])
         assert out["classification"] == "bounded"
         assert max(out["norms"]) == 0.0
+
+    @pytest.mark.parametrize("H", [harmonic([1.0]), np.eye(2)], ids=["harmonic", "squeezing"])
+    def test_matches_trapezoid_reference(self, H):
+        H0 = validate_boson(H, 1)
+        X = np.array([[0.0, 1.0], [0.0, 0.0]])
+        T_list = [1.0, 5.0, 10.0, 20.0]
+        got = divergence_demo(H0, X, T_list)["norms"]
+        want = trapezoid_divergence_norms(H0, X, T_list)
+        np.testing.assert_allclose(got, want, rtol=5e-5, atol=0)
+
+    def test_defective_generator_closed_form(self):
+        # H0 J = [[1, -1], [1, -1]] is a nilpotent Jordan block: G^2 = 0, so
+        # exp(Gs) X exp(-Gs) = X + s[G, X] - s^2 GXG, averaged exactly below
+        H0 = validate_boson([[1.0, 1.0], [1.0, 1.0]], 1)
+        G = -1j * (H0.H @ symplectic_matrix(1))
+        X = np.array([[0.3 - 0.2j, 1.0], [-0.7j, 0.5]])
+        T_list = [1.0, 5.0, 10.0, 20.0]
+        want = [
+            linalg.max_abs(X + (T / 2) * (G @ X - X @ G) - (T**2 / 3) * (G @ X @ G))
+            for T in T_list
+        ]
+        np.testing.assert_allclose(divergence_demo(H0, X, T_list)["norms"], want, rtol=1e-12)
+
+    def test_long_time_splits_instead_of_overflow(self):
+        # max_abs(B T) = 1.2e4 exceeds linalg.EXP_NORM_CAP; G = diag(-i, i),
+        # so the off-diagonal entries average to X_jk (e^{zT} - 1) / (zT)
+        H0 = validate_boson(harmonic([1.0]), 1)
+        X = np.array([[0.0, 1.0], [2.0j, 0.0]])
+        T = 6000.0
+        z = -2j * T
+        want = linalg.max_abs(X * np.array([[1.0, np.expm1(z) / z], [np.expm1(-z) / -z, 1.0]]))
+        out = divergence_demo(H0, X, [T])
+        assert not out["overflow"]
+        assert abs(out["norms"][0] - want) <= 1e-12 * want

@@ -21,7 +21,10 @@ def write_config(tmp_path, data, name="config.json"):
 
 def run(tmp_path, *argv):
     out = tmp_path / "report.json"
-    code = main(list(argv) + ["--out", str(out)])
+    try:
+        code = main(list(argv) + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects bad arguments with exit 2
+        code = exc.code
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
 
@@ -90,12 +93,24 @@ class TestValidate:
              "n": 1, "HI": {"frequencies": [1.0]}},
             {"boson": {"H0": {"matrix": [[[float("inf"), 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]}}},
             {"boson": {"H0": {"matrix": [[[0.0, 0.0]] * 4] * 4, "frequencies": [1.0, 2.0]}}},
+            {"tolerances": {"resonance": -1}},
+            {"tolerances": {"resonance": 0.0}},
+            {"tolerances": {"report": -1e-8}},
+            {"lamda": 0.4},
+            {"grid": {"t_end": 1.0, "step": 100}},
+            {"tolerances": {"resonanse": 1e-6}},
+            {"boson": {"H0": {"frequencies": [1.0, 2.0]}, "t_list": [1.0]}},
+            {"H0": {"frequencies": [1.0, 2.0], "scale": 2.0}},
+            {"HI": {"hopping": [{"j": 1, "k": 2, "g": 1.0, "h": 0.5}]}},
         ],
         ids=["negative-t_end", "string-m", "fractional-m", "hopping-k-above-n",
              "nan-frequency", "hopping-without-g", "string-tolerance",
              "string-T_list", "scalar-T_list", "negative-T_list", "X-wrong-dimension",
              "scalar-boson-H0", "scalar-hopping", "nan-matrix", "infinite-boson-matrix",
-             "boson-matrix-and-frequencies"],
+             "boson-matrix-and-frequencies", "negative-resonance", "zero-resonance",
+             "negative-report", "unknown-top-level-key", "unknown-grid-key",
+             "unknown-tolerance-key", "unknown-boson-key", "unknown-spec-key",
+             "unknown-hopping-key"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, {**BASE, **change})
@@ -105,6 +120,23 @@ class TestValidate:
             code, _ = run(tmp_path, command[0], "--config", cfg, *command[1:])
             assert code == 2
             assert "config error" in capsys.readouterr().err
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--order", "abc"],
+            ["evolve", "--order", "3"],
+            ["order-study", "--order", "exact", "--lambdas", "0.1,0.05,0.025"],
+            ["verify", "--seed", "-1"],
+        ],
+        ids=["evolve-order-abc", "evolve-order-3", "order-study-exact", "negative-seed"],
+    )
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, *argv, "--config", config_path("two_mode.json"))
+        assert code == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestEvolve:
