@@ -14,6 +14,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NotSymmetric, NotTildeSymmetric
 from .fermion import check_worst_entry, tilde_conjugate
+from .projector import resonance_partition
 
 VALIDATION_TOL = 1e-12
 STABILITY_TOL = 1e-9
@@ -58,8 +59,13 @@ class StabilityReport:
 def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> StabilityReport:
     """Classify the symplectic generator H0 @ J as stable or unstable.
 
-    Non-real eigenvalues make the free evolution hyperbolic, so the
-    long-time average underlying the fermionic construction does not exist.
+    Non-real eigenvalues make the free evolution hyperbolic, and a real but
+    defective (non-diagonalizable) generator makes it grow polynomially; in
+    both cases the long-time average underlying the fermionic construction
+    does not exist.  A real spectrum counts as diagonalizable when the
+    minimal-polynomial residual prod_k (G - mu_k I) / scale, over the
+    distinct eigenvalues mu_k (clustered by ``resonance_partition`` at tol),
+    is at most tol in max-abs.
     """
     gen = H0.H @ symplectic_matrix(H0.n)
     eigs = np.linalg.eigvals(gen)
@@ -67,9 +73,15 @@ def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> Stabili
     eigs = eigs[order]
     max_imag = float(np.max(np.abs(eigs.imag))) if len(eigs) else 0.0
     scale = 1.0 + (float(np.max(np.abs(eigs))) if len(eigs) else 0.0)
-    classification = "stable" if max_imag <= tol * scale else "unstable"
+    stable = max_imag <= tol * scale
+    if stable:
+        residual = np.eye(len(gen))
+        for mu in resonance_partition(np.diag(eigs.real), tol).cluster_values:
+            residual = residual @ (gen - mu * np.eye(len(gen))) / scale
+        stable = linalg.max_abs(residual) <= tol
     return StabilityReport(
-        eigenvalues=eigs, max_imag=max_imag, classification=classification, tolerance=tol
+        eigenvalues=eigs, max_imag=max_imag,
+        classification="stable" if stable else "unstable", tolerance=tol,
     )
 
 

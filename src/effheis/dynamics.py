@@ -12,11 +12,11 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
 from .fermion import SplitHamiltonian, moment_generator
-from .perturbation import TimeLocalGenerator, kappa12
+from .perturbation import TimeLocalGenerator, kappa12, psi_matrix
 from .projector import (
     DEFAULT_RESONANCE_TOL,
+    ResonancePartition,
     free_moment_generator_hermitian,
-    project_with,
     resonance_partition,
 )
 
@@ -59,17 +59,37 @@ def exact_series(
     grid: TimeGrid,
     tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PropagatorSeries:
-    """Averaged propagator P(exp(h t)) at every grid point."""
+    """Averaged propagator P(exp(h t)) at every grid point.
+
+    With h = -i V_h diag(w_h) V_h^dag and A = V0^dag V_h, exp(h t) is
+    (A e^{-i w_h t}) A^dag in M0's eigenbasis V0, where P keeps its
+    resonant blocks."""
     h = moment_generator(split.total(), m)
     M0 = free_moment_generator_hermitian(split, m)
     # h is anti-Hermitian: diagonalize once, exponentiate per grid point
     h_eig = linalg.hermitian_eigendecompose(1j * h)
     partition = resonance_partition(M0, tol)
+    frame = partition.decomposition
+    A = frame.basis.conj().T @ h_eig.basis
+    A_dag = A.conj().T
     values = []
     for t in grid.times:
         phases = np.exp(-1j * h_eig.eigenvalues * t)
-        values.append(project_with((h_eig.basis * phases) @ h_eig.basis.conj().T, partition))
+        values.append(frame.from_eigenbasis(np.where(partition.mask, (A * phases) @ A_dag, 0.0)))
     return PropagatorSeries(grid=grid, values=values, label="exact")
+
+
+def _block_eigendecompose(partition: ResonancePartition, H: np.ndarray):
+    """Eigendecomposition of a Hermitian H that is block-diagonal over the
+    clusters of ``partition``, one cluster at a time: the basis W is
+    block-diagonal too, with ascending eigenvalues inside each block."""
+    W = np.zeros_like(H)
+    w = np.empty(len(H))
+    for lo, hi in zip(partition.bounds, [*partition.bounds[1:], len(H)]):
+        block = linalg.hermitian_eigendecompose(H[lo:hi, lo:hi])
+        W[lo:hi, lo:hi] = block.basis
+        w[lo:hi] = block.eigenvalues
+    return W, w
 
 
 def integrate_time_local(
@@ -86,31 +106,67 @@ def integrate_time_local(
     dPhi/dt = exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) Phi in l1's
     eigenbasis; raises StepTooLarge if max_abs(coupling^2 kappa2(t)) * dt > 1
     at a node.
+
+    Everything happens in M0's eigenbasis V0, where l1 = -i diag(lam) +
+    coupling * kappa1 is block-diagonal over the resonance clusters and is
+    eigendecomposed one block at a time, l1 = -i W diag(w) W^dag.  RK4 runs
+    on the blocks, and the original basis is reached through U = V0 W at
+    grid points only.
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
-    l1 = gen.h0 + gen.coupling * gen.kappa1
-    # l1 is anti-Hermitian: l1 = -i V diag(w) V^dag
-    eig = linalg.hermitian_eigendecompose(1j * l1)
-    V, w = eig.basis, eig.eigenvalues
+    part, hI, c = gen.partition, gen.hI, gen.coupling
+    d = len(hI)
+    kappa1 = np.where(part.mask, hI, 0.0)
+    W, w = _block_eigendecompose(part, np.diag(part.eigenvalues) + 1j * c * kappa1)
+    U = part.decomposition.basis @ W
+    U_dag = U.conj().T
     dt = grid.dt
 
+    # Phi and the rotated kappa2 are block-diagonal: RK4 runs on the blocks,
+    # stacked and zero-padded to the largest one
+    sizes = np.diff(part.bounds, append=d)
+    offsets = np.arange(sizes.max())
+    valid = offsets < sizes[:, None]
+    index = np.where(valid, part.bounds[:, None] + offsets, 0)
+    rows, cols = index[:, :, None], index[:, None, :]
+    inside = valid[:, :, None] & valid[:, None, :]
+    flat = (rows * d + cols)[inside]
+
+    def pack(M: np.ndarray) -> np.ndarray:
+        return np.where(inside, M[rows, cols], 0.0)
+
+    def unpack(P: np.ndarray) -> np.ndarray:
+        M = np.zeros(d * d, dtype=complex)
+        M[flat] = P[inside]
+        return M.reshape(d, d)
+
+    if order == 2:
+        # W^dag kappa2(t) W = P(L (hI * psi(t)) W) - t R: W is
+        # block-diagonal, so conjugating by it commutes with P
+        W_dag = W.conj().T
+        L = W_dag @ hI
+        R = pack(W_dag @ (kappa1 @ kappa1) @ W)
+        w_blocks = w[index]
+
     def rotated_kappa2(t: float) -> np.ndarray:
-        """exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) in l1's eigenbasis."""
-        k = gen.at(t, 2) - l1
-        if linalg.max_abs(k) * dt > 1.0:
-            raise StepTooLarge(
-                f"max_abs(coupling^2 kappa2({t:.3g})) * dt = {linalg.max_abs(k) * dt:.3g} > 1"
-            )
-        phases = np.exp(1j * w * t)
-        return eig.to_eigenbasis(k) * np.outer(phases, phases.conj())
+        """exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) in l1's eigenbasis, packed."""
+        K = c**2 * (pack(L @ ((hI * psi_matrix(part, t)) @ W)) - t * R)
+        # max_abs <= Frobenius norm, which U leaves unchanged: the exact
+        # original-basis test runs only when the bound fails
+        if np.linalg.norm(K) * dt > 1.0:
+            worst = linalg.max_abs(U @ unpack(K) @ U_dag)
+            if worst * dt > 1.0:
+                raise StepTooLarge(f"max_abs(coupling^2 kappa2({t:.3g})) * dt = {worst * dt:.3g} > 1")
+        phases = np.exp(1j * w_blocks * t)
+        return K * (phases[:, :, None] * phases.conj()[:, None, :])
 
     def psi(t: float, phi: np.ndarray) -> np.ndarray:
         """exp(l1 t) Phi in the original basis."""
-        return (V * np.exp(-1j * w * t)) @ phi @ V.conj().T
+        return (U * np.exp(-1j * w * t)) @ unpack(phi) @ U_dag
 
     times = grid.times
-    phi = np.eye(len(w), dtype=complex)
+    phi = (inside & (rows == cols)).astype(complex)
     values = [psi(times[0], phi)]
     if order == 2:
         k_end = rotated_kappa2(times[0])

@@ -128,14 +128,29 @@ def mu_k_quadrature(
     return partition.project_eig(nested(k, t))
 
 
+def psi_matrix(partition: ResonancePartition, t: float) -> np.ndarray:
+    """psi(delta, t) on every entry of ``partition.delta``, evaluated once
+    per distinct frequency difference and gathered back."""
+    values, inverse = partition.distinct_delta
+    return spectral_function(values, t, "psi")[inverse]
+
+
 @dataclass(frozen=True)
 class TimeLocalGenerator:
-    """Generator l(t) = h0 + coupling * kappa1 + coupling^2 * kappa2(t)."""
+    """Generator l(t) = h0 + coupling * kappa1 + coupling^2 * kappa2(t).
+
+    h0, kappa1 and kappa2(t) are dense in the original basis; ``partition``
+    (the resonance frame of M0) and ``hI`` (the interaction moment generator
+    in M0's eigenbasis) are what they are built from, and what
+    ``dynamics.integrate_time_local`` works with.
+    """
 
     h0: np.ndarray
     kappa1: np.ndarray
     kappa2_of_t: Callable[[float], np.ndarray]
     coupling: float
+    partition: ResonancePartition
+    hI: np.ndarray
 
     def at(self, t: float, order: int) -> np.ndarray:
         if order not in (1, 2):
@@ -152,15 +167,23 @@ def kappa12(
     """First two cumulants: kappa1 = P(hI),
     kappa2(t) = P(hI psi(t [h0, .]) hI) - t (P(hI))^2."""
     partition, hI = resonance_frame(split, m, tol)
-    kappa1 = partition.project_eig(hI)
+    eig = partition.decomposition
+    # kappa1 and kappa2(t) in M0's eigenbasis, where P keeps the resonant blocks
+    kappa1 = np.where(partition.mask, hI, 0.0)
     kappa1_sq = kappa1 @ kappa1
 
     def kappa2(t: float) -> np.ndarray:
-        weighted = hI * spectral_function(partition.delta, t, "psi")
-        return partition.project_eig(hI @ weighted) - t * kappa1_sq
+        resonant = np.where(partition.mask, hI @ (hI * psi_matrix(partition, t)), 0.0)
+        return eig.from_eigenbasis(resonant - t * kappa1_sq)
 
-    h0 = -1j * partition.decomposition.from_eigenbasis(np.diag(partition.eigenvalues))
-    return TimeLocalGenerator(h0=h0, kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling)
+    return TimeLocalGenerator(
+        h0=-1j * eig.from_eigenbasis(np.diag(partition.eigenvalues)),
+        kappa1=eig.from_eigenbasis(kappa1),
+        kappa2_of_t=kappa2,
+        coupling=split.coupling,
+        partition=partition,
+        hI=hI,
+    )
 
 
 def _compositions(k: int):

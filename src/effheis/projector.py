@@ -47,19 +47,32 @@ class ResonancePartition:
         w = self.eigenvalues
         return -1j * (w[:, None] - w[None, :])
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Start offset of each cluster.  The spectrum is sorted and the
+        linkage single, so every cluster is a contiguous index range."""
+        return np.flatnonzero(np.diff(self.labels, prepend=-1))
+
     @property
     def cluster_values(self) -> np.ndarray:
         """Mean eigenvalue of each cluster, in label order."""
-        return np.array([float(np.mean(self.eigenvalues[self.labels == k]))
-                         for k in range(self.labels[-1] + 1)])
+        sizes = np.diff(self.bounds, append=len(self.labels))
+        return np.add.reduceat(self.eigenvalues, self.bounds) / sizes
 
     @property
     def max_cluster_width(self) -> float:
-        width = 0.0
-        for lab in np.unique(self.labels):
-            vals = self.eigenvalues[self.labels == lab]
-            width = max(width, float(vals.max() - vals.min()))
-        return width
+        w = self.eigenvalues
+        return float(np.max(np.maximum.reduceat(w, self.bounds) - np.minimum.reduceat(w, self.bounds)))
+
+    @cached_property
+    def distinct_delta(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct entries of ``delta`` (entries whose frequency
+        differences agree to 1e-12 count once) and, for every entry, the
+        index of its representative among them."""
+        w = self.eigenvalues
+        diff = (w[:, None] - w[None, :]).ravel()
+        _, first, inverse = np.unique(np.round(diff, 12), return_index=True, return_inverse=True)
+        return -1j * diff[first], inverse.reshape(len(w), len(w))
 
     def project_eig(self, Y: np.ndarray) -> np.ndarray:
         """Average of a matrix given in the eigenbasis, in the original basis."""

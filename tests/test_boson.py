@@ -113,6 +113,20 @@ class TestStabilityCheck:
                 == "unstable"
             )
 
+    def test_jordan_block_unstable(self):
+        # H0 J = [[1, -1], [1, -1]] is nilpotent: both eigenvalues are 0 and
+        # real, but the evolution grows like s, so its average like T^2
+        rep = stability_check(validate_boson([[1.0, 1.0], [1.0, 1.0]], 1))
+        assert rep.max_imag == 0.0
+        assert rep.classification == "unstable"
+
+    def test_degenerate_diagonalizable_stable(self):
+        # two copies of the one-mode oscillator [[0, 1], [1, 0]]: eigenvalues
+        # +1 and -1 are each double, and the generator is diagonalizable
+        rep = stability_check(validate_boson(harmonic([1.0, 1.0]), 2))
+        assert rep.classification == "stable"
+        np.testing.assert_allclose(rep.eigenvalues.real, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
+
     def test_eigenvalues_deterministically_ordered(self):
         H0 = validate_boson(harmonic([2.0, 1.0]), 2)
         a = stability_check(H0).eigenvalues

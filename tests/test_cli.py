@@ -291,6 +291,16 @@ class TestBosonCheck:
         )
         assert code == 5
 
+    def test_jordan_block_expect_stable_exits_5(self, tmp_path):
+        # real spectrum {0, 0}, but H0 J is a nilpotent Jordan block
+        cfg = write_config(tmp_path, {
+            "n": 1,
+            "boson": {"H0": {"matrix": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]}},
+        })
+        code, report = run(tmp_path, "boson-check", "--config", cfg, "--expect-stable")
+        assert code == 5
+        assert report["payload"]["classification"] == "unstable"
+
     def test_expect_stable_passes_on_stable(self, tmp_path):
         code, _ = run(
             tmp_path, "boson-check", "--config", config_path("boson_harmonic.json"),

@@ -16,9 +16,16 @@ from effheis.dynamics import (
     integrate_time_local,
     order_estimate,
 )
-from effheis.errors import DegenerateFit, GridMismatch, StepTooLarge
+from effheis.errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
+from effheis.fermion import moment_generator
 from effheis.perturbation import kappa12
-from effheis.projector import effective_propagator
+from effheis.projector import (
+    DEFAULT_RESONANCE_TOL,
+    effective_propagator,
+    free_moment_generator_hermitian,
+    project_with,
+    resonance_partition,
+)
 from effheis.verify import random_valid_fermion
 
 
@@ -40,6 +47,89 @@ def dense_rk4(gen, order, grid, max_step=1e-3):
             t += dt
         values.append(psi)
     return values
+
+
+def project_per_point_exact_series(split, m, grid, tol=DEFAULT_RESONANCE_TOL):
+    """Reference: exact_series before the eigenbasis engine, exp(h t) built
+    in the original basis and projected with project_with at every point."""
+    h = moment_generator(split.total(), m)
+    M0 = free_moment_generator_hermitian(split, m)
+    # h is anti-Hermitian: diagonalize once, exponentiate per grid point
+    h_eig = linalg.hermitian_eigendecompose(1j * h)
+    partition = resonance_partition(M0, tol)
+    values = []
+    for t in grid.times:
+        phases = np.exp(-1j * h_eig.eigenvalues * t)
+        values.append(project_with((h_eig.basis * phases) @ h_eig.basis.conj().T, partition))
+    return PropagatorSeries(grid=grid, values=values, label="exact")
+
+
+def frame_rk4(gen, order, grid):
+    """Reference: integrate_time_local before the eigenbasis engine, with a
+    dense eigendecomposition of l1 and kappa2(t) from gen.at, taken from the
+    original basis into l1's eigenbasis at every node."""
+    if order not in (1, 2):
+        raise UnsupportedOrder(f"time-local generator truncation order {order}")
+    l1 = gen.h0 + gen.coupling * gen.kappa1
+    # l1 is anti-Hermitian: l1 = -i V diag(w) V^dag
+    eig = linalg.hermitian_eigendecompose(1j * l1)
+    V, w = eig.basis, eig.eigenvalues
+    dt = grid.dt
+
+    def rotated_kappa2(t: float) -> np.ndarray:
+        """exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) in l1's eigenbasis."""
+        k = gen.at(t, 2) - l1
+        if linalg.max_abs(k) * dt > 1.0:
+            raise StepTooLarge(
+                f"max_abs(coupling^2 kappa2({t:.3g})) * dt = {linalg.max_abs(k) * dt:.3g} > 1"
+            )
+        phases = np.exp(1j * w * t)
+        return eig.to_eigenbasis(k) * np.outer(phases, phases.conj())
+
+    def psi(t: float, phi: np.ndarray) -> np.ndarray:
+        """exp(l1 t) Phi in the original basis."""
+        return (V * np.exp(-1j * w * t)) @ phi @ V.conj().T
+
+    times = grid.times
+    phi = np.eye(len(w), dtype=complex)
+    values = [psi(times[0], phi)]
+    if order == 2:
+        k_end = rotated_kappa2(times[0])
+    for t, t_next in zip(times[:-1], times[1:]):
+        if order == 2:
+            # one generator evaluation per distinct node: an interval's end
+            # is the next interval's start
+            k_start, k_mid, k_end = k_end, rotated_kappa2(t + dt / 2), rotated_kappa2(t_next)
+            s1 = k_start @ phi
+            s2 = k_mid @ (phi + dt / 2 * s1)
+            s3 = k_mid @ (phi + dt / 2 * s2)
+            s4 = k_end @ (phi + dt * s3)
+            phi = phi + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+        values.append(psi(t_next, phi))
+    return PropagatorSeries(grid=grid, values=values, label=f"timelocal-order{order}")
+
+
+def series_gap(a, b):
+    return max(linalg.max_abs(x - y) for x, y in zip(a.values, b.values))
+
+
+@st.composite
+def engine_splits(draw):
+    """n in {1, 2, 3}, m in {1, 2}; H0 either a random valid fermion
+    (non-diagonal, so M0's eigenbasis is not a permutation) or diagonal with
+    frequencies drawn from {1, 2} (degenerate clusters).  Up to n = 2 kappa2
+    commutes with l1, so only n = 3 exercises the frame rotation.  Couplings
+    up to 1 split the clusters far enough that l1's eigenvalues change order
+    across them."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = random_valid_fermion(n, rng)
+    else:
+        base = eh.diagonal_modes(draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
+    lam = draw(st.floats(0.05, 1.0))
+    return eh.SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=lam), m
 
 
 @st.composite
@@ -157,6 +247,43 @@ class TestIntegrateTimeLocalProperties:
         series = integrate_time_local(gen, 2, self.GRID)
         ref = dense_rk4(gen, 2, self.GRID)
         assert max(linalg.max_abs(a - b) for a, b in zip(series.values, ref)) < 1e-8
+
+
+class TestEigenbasisEngine:
+    """The eigenbasis engine against the dense references it replaced."""
+
+    GRID = TimeGrid(1.0, 20)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(engine_splits())
+    def test_exact_series_matches_reference(self, case):
+        split, m = case
+        got = exact_series(split, m, self.GRID)
+        assert series_gap(got, project_per_point_exact_series(split, m, self.GRID)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(engine_splits(), st.sampled_from([1, 2]))
+    def test_time_local_matches_reference(self, case, order):
+        split, m = case
+        gen = kappa12(split, m)
+        try:
+            want = frame_rk4(gen, order, self.GRID)
+        except StepTooLarge:
+            with pytest.raises(StepTooLarge):
+                integrate_time_local(gen, order, self.GRID)
+            return
+        assert series_gap(integrate_time_local(gen, order, self.GRID), want) <= 1e-12
+
+    def test_lazy_guard_passes_when_only_the_bound_fails(self, detuned_split):
+        # at coupling 1 on this grid the Frobenius bound fails at some node
+        # while the max-abs test holds at every node: no StepTooLarge
+        gen = kappa12(replace(detuned_split, coupling=1.0), 1)
+        grid = TimeGrid(2.0, 4)
+        nodes = np.concatenate([grid.times, grid.times[:-1] + grid.dt / 2])
+        kappa2s = [gen.kappa2_of_t(t) for t in nodes]
+        assert max(np.linalg.norm(k) for k in kappa2s) * grid.dt > 1.0
+        assert max(linalg.max_abs(k) for k in kappa2s) * grid.dt <= 1.0
+        assert series_gap(integrate_time_local(gen, 2, grid), frame_rk4(gen, 2, grid)) <= 1e-12
 
 
 class TestCompare:

@@ -16,7 +16,40 @@ from effheis.projector import (
 from effheis.verify import moment_equivalence_residual
 
 
+def loop_cluster_values(part):
+    """Reference: the per-label loop cluster_values used before reduceat."""
+    return np.array([float(np.mean(part.eigenvalues[part.labels == k]))
+                     for k in range(part.labels[-1] + 1)])
+
+
+def loop_max_cluster_width(part):
+    """Reference: the per-label loop max_cluster_width used before reduceat."""
+    width = 0.0
+    for lab in np.unique(part.labels):
+        vals = part.eigenvalues[part.labels == lab]
+        width = max(width, float(vals.max() - vals.min()))
+    return width
+
+
 class TestResonancePartition:
+    def test_block_table_degenerate(self):
+        part = resonance_partition(np.diag([0.0, 1.0, 1.0, 2.0]), 1e-9)
+        np.testing.assert_array_equal(part.bounds, [0, 1, 3])
+        np.testing.assert_array_equal(part.cluster_values, loop_cluster_values(part))
+        np.testing.assert_array_equal(part.cluster_values, [0.0, 1.0, 2.0])
+        assert part.max_cluster_width == loop_max_cluster_width(part) == 0.0
+
+    def test_block_table_generic(self, rng):
+        # near-degenerate clusters of sizes 1, 2, 3, 1 hidden by a random
+        # unitary, so the eigenvalues carry round-off
+        values = [-0.7, 0.1, 0.1 + 3e-11, 0.9, 0.9 - 2e-11, 0.9 + 5e-12, 2.4]
+        Q, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+        part = resonance_partition(Q @ np.diag(values) @ Q.conj().T, 1e-9)
+        np.testing.assert_array_equal(part.bounds, [0, 1, 3, 6])
+        np.testing.assert_allclose(part.cluster_values, loop_cluster_values(part), rtol=0, atol=1e-15)
+        assert part.max_cluster_width == pytest.approx(loop_max_cluster_width(part), rel=0, abs=1e-15)
+        assert 2e-11 < part.max_cluster_width < 4e-11
+
     def test_distinct(self):
         part = resonance_partition(np.diag([-1.0, 1.0]), 1e-9)
         np.testing.assert_array_equal(part.mask, np.eye(2, dtype=bool))
