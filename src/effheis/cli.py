@@ -53,17 +53,11 @@ def _report(command: str, cfg: ModelConfig, payload: dict, t0: float) -> dict:
 
 def _write_series_csv(path: str, series) -> None:
     dim = series.values[0].shape[0]
-    header = ["t"]
-    for a in range(dim):
-        for b in range(dim):
-            header += [f"re_{a}_{b}", f"im_{a}_{b}"]
+    header = ["t"] + [f"{part}_{a}_{b}" for a in range(dim) for b in range(dim) for part in ("re", "im")]
     lines = [",".join(header)]
-    for t, M in zip(series.grid.times, series.values):
-        row = [repr(float(t))]
-        for a in range(dim):
-            for b in range(dim):
-                row += [repr(float(M[a, b].real)), repr(float(M[a, b].imag))]
-        lines.append(",".join(row))
+    for t, M in zip(series.grid.times.tolist(), series.values):
+        row = np.stack([M.real, M.imag], -1).ravel().tolist()
+        lines.append(",".join(map(repr, [t, *row])))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

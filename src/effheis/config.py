@@ -25,7 +25,7 @@ TOP_LEVEL_KEYS = ("n", "m", "lambda", "H0", "HI", "grid", "tolerances", "seed", 
 
 def encode_matrix(M: np.ndarray) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def decode_matrix(data) -> np.ndarray:

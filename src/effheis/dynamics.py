@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
 from .fermion import SplitHamiltonian, moment_generator
-from .perturbation import TimeLocalGenerator, kappa12, psi_matrix
+from .perturbation import TimeLocalGenerator, kappa12
 from .projector import (
     DEFAULT_RESONANCE_TOL,
     ResonancePartition,
@@ -115,13 +115,16 @@ def integrate_time_local(
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
-    part, hI, c = gen.partition, gen.hI, gen.coupling
-    d = len(hI)
-    kappa1 = np.where(part.mask, hI, 0.0)
-    W, w = _block_eigendecompose(part, np.diag(part.eigenvalues) + 1j * c * kappa1)
+    part, c = gen.partition, gen.coupling
+    d = len(gen.kappa1)
+    W, w = _block_eigendecompose(part, np.diag(part.eigenvalues) + 1j * c * gen.kappa1)
     U = part.decomposition.basis @ W
     U_dag = U.conj().T
-    dt = grid.dt
+    times, dt = grid.times, grid.dt
+    label = f"timelocal-order{order}"
+    if order == 1:
+        values = [(U * np.exp(-1j * w * t)) @ U_dag for t in times]
+        return PropagatorSeries(grid=grid, values=values, label=label)
 
     # Phi and the rotated kappa2 are block-diagonal: RK4 runs on the blocks,
     # stacked and zero-padded to the largest one
@@ -141,47 +144,40 @@ def integrate_time_local(
         M[flat] = P[inside]
         return M.reshape(d, d)
 
-    if order == 2:
-        # W^dag kappa2(t) W = P(L (hI * psi(t)) W) - t R: W is
-        # block-diagonal, so conjugating by it commutes with P
-        W_dag = W.conj().T
-        L = W_dag @ hI
-        R = pack(W_dag @ (kappa1 @ kappa1) @ W)
-        w_blocks = w[index]
+    W_blocks = pack(W)
+    W_blocks_dag = W_blocks.conj().transpose(0, 2, 1)
+    w_blocks = w[index]
 
     def rotated_kappa2(t: float) -> np.ndarray:
         """exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) in l1's eigenbasis, packed."""
-        K = c**2 * (pack(L @ ((hI * psi_matrix(part, t)) @ W)) - t * R)
-        # max_abs <= Frobenius norm, which U leaves unchanged: the exact
+        K = c**2 * pack(gen.kappa2_of_t(t))
+        # max_abs <= Frobenius norm, which V0 leaves unchanged: the exact
         # original-basis test runs only when the bound fails
         if np.linalg.norm(K) * dt > 1.0:
-            worst = linalg.max_abs(U @ unpack(K) @ U_dag)
+            worst = linalg.max_abs(part.decomposition.from_eigenbasis(unpack(K)))
             if worst * dt > 1.0:
                 raise StepTooLarge(f"max_abs(coupling^2 kappa2({t:.3g})) * dt = {worst * dt:.3g} > 1")
         phases = np.exp(1j * w_blocks * t)
-        return K * (phases[:, :, None] * phases.conj()[:, None, :])
+        return (W_blocks_dag @ K @ W_blocks) * (phases[:, :, None] * phases.conj()[:, None, :])
 
     def psi(t: float, phi: np.ndarray) -> np.ndarray:
         """exp(l1 t) Phi in the original basis."""
         return (U * np.exp(-1j * w * t)) @ unpack(phi) @ U_dag
 
-    times = grid.times
     phi = (inside & (rows == cols)).astype(complex)
     values = [psi(times[0], phi)]
-    if order == 2:
-        k_end = rotated_kappa2(times[0])
+    # one generator evaluation per distinct node: an interval's end is the
+    # next interval's start
+    k_end = rotated_kappa2(times[0])
     for t, t_next in zip(times[:-1], times[1:]):
-        if order == 2:
-            # one generator evaluation per distinct node: an interval's end
-            # is the next interval's start
-            k_start, k_mid, k_end = k_end, rotated_kappa2(t + dt / 2), rotated_kappa2(t_next)
-            s1 = k_start @ phi
-            s2 = k_mid @ (phi + dt / 2 * s1)
-            s3 = k_mid @ (phi + dt / 2 * s2)
-            s4 = k_end @ (phi + dt * s3)
-            phi = phi + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+        k_start, k_mid, k_end = k_end, rotated_kappa2(t + dt / 2), rotated_kappa2(t_next)
+        s1 = k_start @ phi
+        s2 = k_mid @ (phi + dt / 2 * s1)
+        s3 = k_mid @ (phi + dt / 2 * s2)
+        s4 = k_end @ (phi + dt * s3)
+        phi = phi + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
         values.append(psi(t_next, phi))
-    return PropagatorSeries(grid=grid, values=values, label=f"timelocal-order{order}")
+    return PropagatorSeries(grid=grid, values=values, label=label)
 
 
 def compare(a: PropagatorSeries, b: PropagatorSeries) -> dict:

@@ -7,7 +7,6 @@ are expressed in the max-abs entry norm throughout.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,13 +14,9 @@ import scipy.linalg
 
 from .errors import DimensionOverflow, NotHermitian, Overflow
 
-DEFAULT_DIM_CAP = 4096
+# dimension cap for Kronecker constructions
+DIM_CAP = 4096
 EXP_NORM_CAP = 1e4
-
-
-def dim_cap() -> int:
-    """Dimension cap for Kronecker constructions (env EFFHEIS_DIM_CAP)."""
-    return int(os.environ.get("EFFHEIS_DIM_CAP", DEFAULT_DIM_CAP))
 
 
 def max_abs(A: np.ndarray) -> float:
@@ -124,8 +119,8 @@ def kron_sum(K: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     d = K.shape[0]
-    if d**m > dim_cap():
-        raise DimensionOverflow(f"dimension {d**m} exceeds cap {dim_cap()}")
+    if d**m > DIM_CAP:
+        raise DimensionOverflow(f"dimension {d**m} exceeds cap {DIM_CAP}")
     eye = np.eye(d, dtype=complex)
     total = np.zeros((d**m, d**m), dtype=complex)
     for j in range(m):

@@ -128,61 +128,45 @@ def mu_k_quadrature(
     return partition.project_eig(nested(k, t))
 
 
-def psi_matrix(partition: ResonancePartition, t: float) -> np.ndarray:
-    """psi(delta, t) on every entry of ``partition.delta``, evaluated once
-    per distinct frequency difference and gathered back."""
-    values, inverse = partition.distinct_delta
-    return spectral_function(values, t, "psi")[inverse]
-
-
 @dataclass(frozen=True)
 class TimeLocalGenerator:
-    """Generator l(t) = h0 + coupling * kappa1 + coupling^2 * kappa2(t).
-
-    h0, kappa1 and kappa2(t) are dense in the original basis; ``partition``
-    (the resonance frame of M0) and ``hI`` (the interaction moment generator
-    in M0's eigenbasis) are what they are built from, and what
-    ``dynamics.integrate_time_local`` works with.
+    """Generator l(t) = h0 + coupling * kappa1 + coupling^2 * kappa2(t), held
+    in the eigenbasis V0 of M0 (h0 = -i V0 diag(lam) V0^dag), where kappa1
+    and kappa2(t) are block-diagonal over the clusters of ``partition``.
     """
 
-    h0: np.ndarray
+    partition: ResonancePartition
     kappa1: np.ndarray
     kappa2_of_t: Callable[[float], np.ndarray]
     coupling: float
-    partition: ResonancePartition
-    hI: np.ndarray
 
     def at(self, t: float, order: int) -> np.ndarray:
+        """l(t) truncated at ``order``, in the original basis."""
         if order not in (1, 2):
             raise UnsupportedOrder(f"time-local generator truncation order {order}")
-        l = self.h0 + self.coupling * self.kappa1
+        l = -1j * np.diag(self.partition.eigenvalues) + self.coupling * self.kappa1
         if order == 2:
             l = l + self.coupling**2 * self.kappa2_of_t(t)
-        return l
+        return self.partition.decomposition.from_eigenbasis(l)
 
 
 def kappa12(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> TimeLocalGenerator:
-    """First two cumulants: kappa1 = P(hI),
-    kappa2(t) = P(hI psi(t [h0, .]) hI) - t (P(hI))^2."""
+    """First two cumulants in M0's eigenbasis, where P keeps the resonant
+    blocks: kappa1 = P(hI), kappa2(t) = P(hI psi(t [h0, .]) hI) - t kappa1^2.
+    psi is evaluated once per distinct frequency difference."""
     partition, hI = resonance_frame(split, m, tol)
-    eig = partition.decomposition
-    # kappa1 and kappa2(t) in M0's eigenbasis, where P keeps the resonant blocks
     kappa1 = np.where(partition.mask, hI, 0.0)
     kappa1_sq = kappa1 @ kappa1
+    values, inverse = partition.distinct_delta
 
     def kappa2(t: float) -> np.ndarray:
-        resonant = np.where(partition.mask, hI @ (hI * psi_matrix(partition, t)), 0.0)
-        return eig.from_eigenbasis(resonant - t * kappa1_sq)
+        psi = spectral_function(values, t, "psi")[inverse]
+        return np.where(partition.mask, hI @ (hI * psi), 0.0) - t * kappa1_sq
 
     return TimeLocalGenerator(
-        h0=-1j * eig.from_eigenbasis(np.diag(partition.eigenvalues)),
-        kappa1=eig.from_eigenbasis(kappa1),
-        kappa2_of_t=kappa2,
-        coupling=split.coupling,
-        partition=partition,
-        hI=hI,
+        partition=partition, kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling
     )
 
 

@@ -117,18 +117,17 @@ def numeric_time_average(
         raise ValueError("T must be positive")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    eig = linalg.hermitian_eigendecompose(M)
+    partition = resonance_partition(M)
+    eig = partition.decomposition
     X = linalg.as_matrix(X)
     if X.shape[0] != eig.dim:
         raise DimensionMismatch(f"X dim {X.shape[0]} != generator dim {eig.dim}")
-    Y = eig.to_eigenbasis(X)
-    delta = (eig.eigenvalues[:, None] - eig.eigenvalues[None, :]).ravel()
     s_grid = np.linspace(0.0, T, steps)
-    # one phase average per distinct frequency difference (rounded to 1e-14),
-    # one at a time: a (frequencies, steps) array would hold every phase at once
-    _, first, inverse = np.unique(np.round(delta, 14), return_index=True, return_inverse=True)
-    avg = np.array([np.trapezoid(np.exp(-1j * w * s_grid), s_grid) for w in delta[first]]) / T
-    return eig.from_eigenbasis(Y * avg[inverse].reshape(Y.shape))
+    # one phase average per distinct commutator eigenvalue, one at a time: a
+    # (frequencies, steps) array would hold every phase at once
+    values, inverse = partition.distinct_delta
+    avg = np.array([np.trapezoid(np.exp(v * s_grid), s_grid) for v in values]) / T
+    return eig.from_eigenbasis(eig.to_eigenbasis(X) * avg[inverse])
 
 
 def free_moment_generator_hermitian(split: SplitHamiltonian, m: int) -> np.ndarray:

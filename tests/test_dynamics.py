@@ -34,7 +34,7 @@ def dense_rk4(gen, order, grid, max_step=1e-3):
     each grid interval cut into substeps of at most max_step."""
     substeps = max(1, math.ceil(grid.dt / max_step))
     dt = grid.dt / substeps
-    psi = np.eye(gen.h0.shape[0], dtype=complex)
+    psi = np.eye(len(gen.kappa1), dtype=complex)
     values = [psi]
     t = 0.0
     for _ in range(grid.steps):
@@ -70,7 +70,7 @@ def frame_rk4(gen, order, grid):
     original basis into l1's eigenbasis at every node."""
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
-    l1 = gen.h0 + gen.coupling * gen.kappa1
+    l1 = gen.at(0.0, 1)
     # l1 is anti-Hermitian: l1 = -i V diag(w) V^dag
     eig = linalg.hermitian_eigendecompose(1j * l1)
     V, w = eig.basis, eig.eigenvalues
@@ -192,10 +192,9 @@ class TestIntegrateTimeLocal:
         # generator: Psi(t) = exp((h0 + lambda kappa1) t)
         grid = TimeGrid(1.0, 20)
         gen = kappa12(resonant_split, 1)
-        lam = resonant_split.coupling
         series = integrate_time_local(gen, 1, grid)
         for t, val in zip(grid.times, series.values):
-            want = linalg.matrix_exponential((gen.h0 + lam * gen.kappa1) * t)
+            want = linalg.matrix_exponential(gen.at(0.0, 1) * t)
             assert linalg.max_abs(val - want) < 1e-8
 
     def test_step_halving_self_consistency(self, detuned_split):
@@ -217,8 +216,9 @@ class TestIntegrateTimeLocal:
             coupling=0.2,
         )
         gen = kappa12(split, 1)
-        l1 = gen.h0 + gen.coupling * gen.kappa1
-        assert linalg.max_abs(l1 @ gen.kappa2_of_t(0.7) - gen.kappa2_of_t(0.7) @ l1) > 1e-2
+        l1 = gen.at(0.0, 1)
+        kappa2 = gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(0.7))
+        assert linalg.max_abs(l1 @ kappa2 - kappa2 @ l1) > 1e-2
         grid = TimeGrid(1.0, 20)
         series = integrate_time_local(gen, 2, grid)
         ref = dense_rk4(gen, 2, grid)
@@ -229,6 +229,20 @@ class TestIntegrateTimeLocal:
         with pytest.raises(StepTooLarge):
             integrate_time_local(gen, 2, TimeGrid(5.0, 1))
 
+    @pytest.mark.parametrize("order, evaluations", [(1, 0), (2, 2 * 20 + 1)])
+    def test_kappa2_evaluated_once_per_node(self, detuned_split, order, evaluations):
+        # the integrator reads kappa2(t) through the generator's closure, once
+        # at every grid point and interval midpoint
+        gen = kappa12(detuned_split, 1)
+        nodes = []
+
+        def counted(t):
+            nodes.append(t)
+            return gen.kappa2_of_t(t)
+
+        integrate_time_local(replace(gen, kappa2_of_t=counted), order, TimeGrid(1.0, 20))
+        assert len(nodes) == len(set(nodes)) == evaluations
+
 
 class TestIntegrateTimeLocalProperties:
     GRID = TimeGrid(1.0, 20)
@@ -236,7 +250,7 @@ class TestIntegrateTimeLocalProperties:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_generators())
     def test_order1_is_exact_exponential(self, gen):
-        l1 = gen.h0 + gen.coupling * gen.kappa1
+        l1 = gen.at(0.0, 1)
         series = integrate_time_local(gen, 1, self.GRID)
         for t, val in zip(self.GRID.times, series.values):
             assert linalg.max_abs(val - linalg.matrix_exponential(l1 * t)) < 1e-12
@@ -280,7 +294,7 @@ class TestEigenbasisEngine:
         gen = kappa12(replace(detuned_split, coupling=1.0), 1)
         grid = TimeGrid(2.0, 4)
         nodes = np.concatenate([grid.times, grid.times[:-1] + grid.dt / 2])
-        kappa2s = [gen.kappa2_of_t(t) for t in nodes]
+        kappa2s = [gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(t)) for t in nodes]
         assert max(np.linalg.norm(k) for k in kappa2s) * grid.dt > 1.0
         assert max(linalg.max_abs(k) for k in kappa2s) * grid.dt <= 1.0
         assert series_gap(integrate_time_local(gen, 2, grid), frame_rk4(gen, 2, grid)) <= 1e-12
