@@ -18,6 +18,10 @@ from .projector import resonance_partition
 
 VALIDATION_TOL = 1e-12
 STABILITY_TOL = 1e-9
+# a bounded average has norms that level off (log-log slope about 0 or
+# below); a defective generator grows them at least like T, an unstable one
+# exponentially
+GROWTH_EXPONENT = 0.5
 
 
 def symplectic_matrix(n: int) -> np.ndarray:
@@ -92,8 +96,9 @@ def divergence_demo(H0: BosonHamiltonian, X: np.ndarray, T_list) -> dict:
     the top-right block of exp(B T), B = [[L, I], [0, 0]] (Van Loan 1978);
     a T with max_abs(B T) at or above the exponential's cap takes the k-th
     power of exp(B T / k), k the smallest count that keeps B T / k below it.
-    Norms growing by more than 1e3 from the smallest to the largest T, or
-    overflowing, classify the generator as "divergent".
+    Norms that overflow, or whose least-squares slope of log(norm) against
+    log(T) is at least GROWTH_EXPONENT (polynomial or exponential growth),
+    classify the generator as "divergent".
     """
     X = linalg.as_matrix(X)
     gen = -1j * (H0.H @ symplectic_matrix(H0.n))
@@ -111,8 +116,12 @@ def divergence_demo(H0: BosonHamiltonian, X: np.ndarray, T_list) -> dict:
             avg = block[:d2, d2:] @ vec_X / T
         norms.append(linalg.max_abs(avg) if np.all(np.isfinite(avg)) else float("inf"))
     overflowed = not np.all(np.isfinite(norms))
-    smallest = min(norms, default=0.0)
-    divergent = overflowed or (smallest > 0 and norms[-1] > 1e3 * smallest)
+    log_T = np.log(T_list)
+    divergent = overflowed or (
+        min(norms, default=0.0) > 0
+        and np.ptp(log_T) > 0
+        and np.polyfit(log_T, np.log(norms), 1)[0] >= GROWTH_EXPONENT
+    )
     return {
         "T": T_list,
         "norms": norms,

@@ -30,12 +30,13 @@ SERIES_SWITCH = 1e-2
 SERIES_TERMS = 6
 
 
-def spectral_function(delta: np.ndarray, t: float, kind: str) -> np.ndarray:
+def spectral_function(delta: np.ndarray, t, kind: str) -> np.ndarray:
     """psi(d, t) = (e^{td} - 1)/d or phi(d, t) = (e^{td} - 1 - td)/d^2.
 
-    Entrywise on an array of commutator eigenvalues; |td| below the switch
-    threshold uses the truncated power series, which also covers d = 0
-    (psi(0, t) = t, phi(0, t) = t^2 / 2).
+    Entrywise on an array of commutator eigenvalues, with ``t`` a scalar or
+    an array that broadcasts against ``delta``; an entry with |td| below
+    the switch threshold uses the truncated power series, which also covers
+    d = 0 (psi(0, t) = t, phi(0, t) = t^2 / 2).
     """
     if kind not in ("psi", "phi"):
         raise ValueError(f"unknown spectral function kind {kind!r}")
@@ -53,7 +54,7 @@ def spectral_function(delta: np.ndarray, t: float, kind: str) -> np.ndarray:
     for k in range(1, SERIES_TERMS):
         term = term * zs / (k + shift)
         series += term
-    out[small] = series * t**shift
+    out[small] = series * np.broadcast_to(t, z.shape)[small] ** shift
     return out
 
 
@@ -133,11 +134,15 @@ class TimeLocalGenerator:
     """Generator l(t) = h0 + coupling * kappa1 + coupling^2 * kappa2(t), held
     in the eigenbasis V0 of M0 (h0 = -i V0 diag(lam) V0^dag), where kappa1
     and kappa2(t) are block-diagonal over the clusters of ``partition``.
+
+    ``kappa2_of_t(times)`` takes a scalar or an array of times and returns
+    the resonant entries of kappa2, with shape ``times.shape + (nnz,)`` in
+    ``partition.resonant`` order; ``partition.dense`` makes them a matrix.
     """
 
     partition: ResonancePartition
     kappa1: np.ndarray
-    kappa2_of_t: Callable[[float], np.ndarray]
+    kappa2_of_t: Callable[[np.ndarray], np.ndarray]
     coupling: float
 
     def at(self, t: float, order: int) -> np.ndarray:
@@ -146,7 +151,7 @@ class TimeLocalGenerator:
             raise UnsupportedOrder(f"time-local generator truncation order {order}")
         l = -1j * np.diag(self.partition.eigenvalues) + self.coupling * self.kappa1
         if order == 2:
-            l = l + self.coupling**2 * self.kappa2_of_t(t)
+            l = l + self.coupling**2 * self.partition.dense(self.kappa2_of_t(t))
         return self.partition.decomposition.from_eigenbasis(l)
 
 
@@ -155,15 +160,36 @@ def kappa12(
 ) -> TimeLocalGenerator:
     """First two cumulants in M0's eigenbasis, where P keeps the resonant
     blocks: kappa1 = P(hI), kappa2(t) = P(hI psi(t [h0, .]) hI) - t kappa1^2.
-    psi is evaluated once per distinct frequency difference."""
+
+    Entry (a, c) of kappa2(t) is sum_x hI[a, x] hI[x, c] psi(lam_x - lam_c, t)
+    - t kappa1^2[a, c], a fixed combination of psi over the distinct
+    frequency differences.  Its weights are gathered once, one cluster at a
+    time; -t kappa1^2 goes to the zero difference, where psi(0, t) = t.
+    kappa2 at any number of times is then one psi evaluation and one product.
+    """
     partition, hI = resonance_frame(split, m, tol)
     kappa1 = np.where(partition.mask, hI, 0.0)
-    kappa1_sq = kappa1 @ kappa1
     values, inverse = partition.distinct_delta
+    nf = len(values)
+    weights = np.empty((len(partition.resonant[0]), nf), dtype=complex)
+    start = 0
+    for lo, hi in zip(partition.bounds, [*partition.bounds[1:], len(hI)]):
+        s = hi - lo
+        rows = weights[start : start + s * s]
+        # products hI[a, x] hI[x, c] for a, c in the cluster, binned by the
+        # difference of (x, c) under the row-major entry number of (a, c)
+        products = (hI[lo:hi, :, None] * hI[None, :, lo:hi]).ravel()
+        bins = (np.arange(s * s).reshape(s, 1, s) * nf + inverse[None, :, lo:hi]).ravel()
+        rows.real = np.bincount(bins, products.real, rows.size).reshape(rows.shape)
+        rows.imag = np.bincount(bins, products.imag, rows.size).reshape(rows.shape)
+        block = kappa1[lo:hi, lo:hi]
+        rows[:, inverse[0, 0]] -= (block @ block).ravel()
+        start += s * s
 
-    def kappa2(t: float) -> np.ndarray:
-        psi = spectral_function(values, t, "psi")[inverse]
-        return np.where(partition.mask, hI @ (hI * psi), 0.0) - t * kappa1_sq
+    def kappa2(times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        psi = spectral_function(values, times[..., None], "psi")
+        return psi @ weights.T
 
     return TimeLocalGenerator(
         partition=partition, kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling

@@ -48,6 +48,20 @@ class ResonancePartition:
         return -1j * (w[:, None] - w[None, :])
 
     @cached_property
+    def resonant(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the resonant entries, the row-major
+        nonzeros of ``mask``; clusters are contiguous, so this runs cluster
+        by cluster, row-major inside each."""
+        return np.nonzero(self.mask)
+
+    def dense(self, entries: np.ndarray) -> np.ndarray:
+        """The eigenbasis matrix whose resonant entries are ``entries``, in
+        ``resonant`` order, and whose other entries are 0."""
+        out = np.zeros((len(self.labels),) * 2, dtype=complex)
+        out[self.resonant] = entries
+        return out
+
+    @cached_property
     def bounds(self) -> np.ndarray:
         """Start offset of each cluster.  The spectrum is sorted and the
         linkage single, so every cluster is a contiguous index range."""

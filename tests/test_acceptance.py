@@ -92,7 +92,7 @@ def test_05_dyson_consistency(offres_split):
 def test_06_cumulant_identity(offres_split):
     t = 1.0
     gen = kappa12(offres_split, 1)
-    closed = gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(t))
+    closed = gen.partition.decomposition.from_eigenbasis(gen.partition.dense(gen.kappa2_of_t(t)))
     fd = general_kappa(offres_split, 1, 2, t, nodes=64)
     worst = linalg.max_abs(closed - fd)
     scoreboard(6, "second cumulant vs moment combination", worst < 1e-5,

@@ -180,6 +180,19 @@ class TestDivergenceDemo:
         ]
         np.testing.assert_allclose(divergence_demo(H0, X, T_list)["norms"], want, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "X", [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]], ids=["quadratic", "linear"]
+    )
+    def test_defective_generator_divergent(self, X):
+        # on the nilpotent H0 J = [[1, -1], [1, -1]] the first X grows the
+        # average like T^2; the second has GXG = 0 and grows it like T.  Both
+        # stay under a 1e3 ratio over T = 1..20 and are still divergent
+        H0 = validate_boson([[1.0, 1.0], [1.0, 1.0]], 1)
+        out = divergence_demo(H0, np.array(X), [1.0, 5.0, 10.0, 20.0])
+        assert not out["overflow"]
+        assert out["norms"][-1] < 1e3 * min(out["norms"])
+        assert out["classification"] == "divergent"
+
     def test_long_time_splits_instead_of_overflow(self):
         # max_abs(B T) = 1.2e4 exceeds linalg.EXP_NORM_CAP; G = diag(-i, i),
         # so the off-diagonal entries average to X_jk (e^{zT} - 1) / (zT)

@@ -301,6 +301,22 @@ class TestBosonCheck:
         assert code == 5
         assert report["payload"]["classification"] == "unstable"
 
+    def test_jordan_block_demo_divergent(self, tmp_path):
+        # the demo's norms grow like T^2 on the nilpotent Jordan block: it
+        # reports "divergent" next to the "unstable" stability check
+        cfg = write_config(tmp_path, {
+            "n": 1,
+            "boson": {
+                "H0": {"matrix": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]},
+                "X": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                "T_list": [1, 5, 10, 20],
+            },
+        })
+        code, report = run(tmp_path, "boson-check", "--config", cfg)
+        assert code == 0
+        assert report["payload"]["classification"] == "unstable"
+        assert report["payload"]["divergence_demo"]["classification"] == "divergent"
+
     def test_expect_stable_passes_on_stable(self, tmp_path):
         code, _ = run(
             tmp_path, "boson-check", "--config", config_path("boson_harmonic.json"),

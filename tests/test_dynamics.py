@@ -113,6 +113,14 @@ def series_gap(a, b):
     return max(linalg.max_abs(x - y) for x, y in zip(a.values, b.values))
 
 
+def original_basis_kappa2s(gen, grid):
+    """coupling^2 kappa2(t) in the original basis at every RK4 node, in time
+    order: the grid points and the interval midpoints."""
+    nodes = np.sort(np.concatenate([grid.times, grid.times[:-1] + grid.dt / 2]))
+    to_original = gen.partition.decomposition.from_eigenbasis
+    return [gen.coupling**2 * to_original(gen.partition.dense(gen.kappa2_of_t(t))) for t in nodes]
+
+
 @st.composite
 def engine_splits(draw):
     """n in {1, 2, 3}, m in {1, 2}; H0 either a random valid fermion
@@ -217,7 +225,9 @@ class TestIntegrateTimeLocal:
         )
         gen = kappa12(split, 1)
         l1 = gen.at(0.0, 1)
-        kappa2 = gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(0.7))
+        kappa2 = gen.partition.decomposition.from_eigenbasis(
+            gen.partition.dense(gen.kappa2_of_t(0.7))
+        )
         assert linalg.max_abs(l1 @ kappa2 - kappa2 @ l1) > 1e-2
         grid = TimeGrid(1.0, 20)
         series = integrate_time_local(gen, 2, grid)
@@ -232,16 +242,20 @@ class TestIntegrateTimeLocal:
     @pytest.mark.parametrize("order, evaluations", [(1, 0), (2, 2 * 20 + 1)])
     def test_kappa2_evaluated_once_per_node(self, detuned_split, order, evaluations):
         # the integrator reads kappa2(t) through the generator's closure, once
-        # at every grid point and interval midpoint
+        # at every grid point and interval midpoint, all in one call
         gen = kappa12(detuned_split, 1)
         nodes = []
+        made = []
 
         def counted(t):
-            nodes.append(t)
+            made.append(t)
+            nodes.extend(np.atleast_1d(t))
             return gen.kappa2_of_t(t)
 
         integrate_time_local(replace(gen, kappa2_of_t=counted), order, TimeGrid(1.0, 20))
         assert len(nodes) == len(set(nodes)) == evaluations
+        # one call at order 2, none at order 1
+        assert len(made) == order - 1
 
 
 class TestIntegrateTimeLocalProperties:
@@ -293,11 +307,48 @@ class TestEigenbasisEngine:
         # while the max-abs test holds at every node: no StepTooLarge
         gen = kappa12(replace(detuned_split, coupling=1.0), 1)
         grid = TimeGrid(2.0, 4)
-        nodes = np.concatenate([grid.times, grid.times[:-1] + grid.dt / 2])
-        kappa2s = [gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(t)) for t in nodes]
+        kappa2s = original_basis_kappa2s(gen, grid)
         assert max(np.linalg.norm(k) for k in kappa2s) * grid.dt > 1.0
         assert max(linalg.max_abs(k) for k in kappa2s) * grid.dt <= 1.0
         assert series_gap(integrate_time_local(gen, 2, grid), frame_rk4(gen, 2, grid)) <= 1e-12
+
+    @pytest.fixture
+    def rotated_split(self):
+        """A random valid H0, so M0's eigenbasis V0 is not a permutation and
+        max_abs of kappa2 in V0 differs from max_abs in the original basis."""
+        rng = np.random.default_rng(0)
+        return eh.SplitHamiltonian(
+            base=random_valid_fermion(3, rng), interaction=random_valid_fermion(3, rng), coupling=1.0
+        )
+
+    def test_lazy_guard_passes_in_a_rotated_basis(self, rotated_split):
+        # the Frobenius bound fails and the max-abs test holds at every node
+        # in the original basis, but not in V0: no StepTooLarge
+        gen = kappa12(rotated_split, 1)
+        grid = TimeGrid(2.5, 2)
+        kappa2s = original_basis_kappa2s(gen, grid)
+        assert max(np.linalg.norm(k) for k in kappa2s) * grid.dt > 1.0
+        assert max(linalg.max_abs(k) for k in kappa2s) * grid.dt <= 1.0
+        in_v0 = [gen.partition.decomposition.to_eigenbasis(k) for k in kappa2s]
+        assert max(linalg.max_abs(k) for k in in_v0) * grid.dt > 1.0
+        assert series_gap(integrate_time_local(gen, 2, grid), frame_rk4(gen, 2, grid)) <= 1e-12
+
+    def test_lazy_guard_raises_in_a_rotated_basis(self, rotated_split):
+        # the Frobenius bound fails from the first midpoint on; the max-abs
+        # test passes at the nodes before the first one where it fails, and
+        # the guard raises there with the reference's message
+        gen = kappa12(rotated_split, 1)
+        grid = TimeGrid(5.75, 4)
+        kappa2s = original_basis_kappa2s(gen, grid)
+        worst = np.array([linalg.max_abs(k) for k in kappa2s]) * grid.dt
+        first = int(np.argmax(worst > 1.0))
+        assert worst[first] > 1.0 and first > 1
+        assert np.linalg.norm(kappa2s[1]) * grid.dt > 1.0
+        with pytest.raises(StepTooLarge) as want:
+            frame_rk4(gen, 2, grid)
+        with pytest.raises(StepTooLarge) as got:
+            integrate_time_local(gen, 2, grid)
+        assert str(got.value) == str(want.value)
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effheis as eh
 from effheis import linalg
@@ -16,7 +18,7 @@ from effheis.perturbation import (
     spectral_function,
 )
 from effheis.projector import free_moment_generator_hermitian, project, resonance_partition
-from effheis.verify import stationarity_residual
+from effheis.verify import random_valid_fermion, stationarity_residual
 
 
 class TestSpectralFunction:
@@ -67,6 +69,18 @@ class TestSpectralFunction:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             spectral_function(np.array(0.0), 1.0, "chi")
+
+    @pytest.mark.parametrize("kind", ["psi", "phi"])
+    def test_array_t_bit_identical_to_scalar_calls(self, kind):
+        # |t d| from 0 to 20, on both sides of the series switch
+        delta = np.concatenate([[0.0], -1j * np.geomspace(1e-3, 20.0, 9), np.geomspace(1e-3, 5.0, 5) * np.exp(0.4j)])
+        times = np.array([0.0, 1e-3, 0.05, 0.7, 1.0])
+        small = np.abs(times[:, None] * delta) < SERIES_SWITCH
+        assert small.any() and not small.all()
+        got = spectral_function(delta, times[:, None], kind)
+        want = np.array([spectral_function(delta, float(t), kind) for t in times])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def interaction_hI(hI, h0, t):
@@ -180,7 +194,7 @@ class TestCumulants:
 
     def test_kappa2_zero_at_t0(self, detuned_split):
         gen = kappa12(detuned_split, 1)
-        assert linalg.max_abs(gen.kappa2_of_t(0.0)) < 1e-14
+        assert linalg.max_abs(gen.partition.dense(gen.kappa2_of_t(0.0))) < 1e-14
 
     def test_kappa2_commuting_closed_form(self, resonant_split):
         t = 0.9
@@ -189,13 +203,17 @@ class TestCumulants:
         M0 = free_moment_generator_hermitian(resonant_split, 1)
         P = lambda X: project(X, M0)
         want = t * P(hI @ hI) - t * (P(hI) @ P(hI))
-        got = gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(t))
+        got = gen.partition.decomposition.from_eigenbasis(
+            gen.partition.dense(gen.kappa2_of_t(t))
+        )
         assert linalg.max_abs(got - want) < 1e-12
 
     def test_cumulant_identity_order2(self, offres_split):
         t = 1.0
         gen = kappa12(offres_split, 1)
-        closed = gen.partition.decomposition.from_eigenbasis(gen.kappa2_of_t(t))
+        closed = gen.partition.decomposition.from_eigenbasis(
+            gen.partition.dense(gen.kappa2_of_t(t))
+        )
         fd = general_kappa(offres_split, 1, 2, t, nodes=64)
         assert linalg.max_abs(closed - fd) < 1e-5
 
@@ -226,6 +244,52 @@ class TestCumulants:
 
     def test_kappa3_detuned_nonzero(self, detuned_split):
         assert linalg.max_abs(general_kappa(detuned_split, 1, 3, 1.0, nodes=16)) > 0.1
+
+
+def dense_kappa2(partition, hI, kappa1, t):
+    """Reference: kappa2(t) in M0's eigenbasis as the dense product it was
+    before the weights, hI @ (hI * psi) restricted to the resonant blocks."""
+    values, inverse = partition.distinct_delta
+    psi = spectral_function(values, t, "psi")[inverse]
+    return np.where(partition.mask, hI @ (hI * psi), 0) - t * kappa1 @ kappa1
+
+
+@st.composite
+def kappa2_cases(draw):
+    """n in {1, 2, 3}, m in {1, 2}; H0 a random valid fermion (M0's
+    eigenbasis is not a permutation) or diagonal with frequencies from
+    {1, 2} (degenerate clusters); the nodes of an RK4 grid on [0, t_end]."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = random_valid_fermion(n, rng)
+    else:
+        base = eh.diagonal_modes(draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
+    split = SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
+    steps = draw(st.integers(1, 20))
+    return split, m, np.linspace(0.0, draw(st.floats(0.1, 2.0)), 2 * steps + 1)
+
+
+class TestBatchedKappa2:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kappa2_cases())
+    def test_matches_dense_formula(self, case):
+        split, m, nodes = case
+        gen = kappa12(split, m)
+        partition, hI = resonance_frame(split, m)
+        got = gen.kappa2_of_t(nodes)
+        assert got.shape == (len(nodes), int(partition.mask.sum()))
+        for t, entries in zip(nodes, got):
+            want = dense_kappa2(partition, hI, gen.kappa1, t)
+            assert linalg.max_abs(partition.dense(entries) - want) <= 1e-14
+
+    def test_scalar_time_gives_one_row(self, detuned_split):
+        gen = kappa12(detuned_split, 1)
+        nodes = np.array([0.3, 0.9])
+        batched = gen.kappa2_of_t(nodes)
+        assert gen.kappa2_of_t(0.9).shape == batched.shape[1:]
+        assert linalg.max_abs(gen.kappa2_of_t(0.9) - batched[1]) <= 1e-15
 
 
 class TestExpansionProperties:
