@@ -2,7 +2,9 @@
 Jordan-Wigner fermion operators, quadratic-form Hamiltonians, the
 superoperator-level averaging projection, and the exactly averaged unitary
 conjugation of operator products.  Both averages are one resonance mask on a
-four-index tensor in the eigenbasis of the free Fock Hamiltonian H0hat.
+four-index tensor in the eigenbasis of the free Fock Hamiltonian H0hat; the
+mask compares the resonance classes (``projector.resonance_labels`` at
+H0hat's gap) of Bohr frequencies e_i - e_j, the spectrum of L0 = [H0hat, .].
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, TooManyModes
 from .fermion import FermionHamiltonian, heisenberg_matrix
-from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, resonance_partition
+from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, resonance_labels, resonance_partition
 
 MAX_MODES = 6
 MAX_SUPEROP_MODES = 4
@@ -83,13 +85,10 @@ def _check_superop_modes(dim: int):
         raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
 
 
-def _resonant_quadruples(part: ResonancePartition) -> np.ndarray:
-    """Boolean keep[a, b, c, d] = |e_a - e_b + e_c - e_d| <= gap over the
-    eigenvectors of the partition, e being each eigenvector's cluster mean."""
-    e = part.cluster_values[part.labels]
-    combo = (e[:, None, None, None] - e[None, :, None, None]
-             + e[None, None, :, None] - e[None, None, None, :])
-    return np.abs(combo) <= part.gap
+def _bohr_labels(part: ResonancePartition) -> np.ndarray:
+    """label[i, j]: resonance class of the Bohr frequency e_i - e_j, read off
+    part.delta = -i(e_i - e_j) at the gap of H0hat's own partition."""
+    return resonance_labels(part.delta.imag.ravel(), part.gap).reshape(part.delta.shape)
 
 
 def project_superoperator(
@@ -98,11 +97,12 @@ def project_superoperator(
     """Averaging projection of a superoperator given as a dim-4^n matrix.
 
     Uses column-stacking vec so that the map Z -> A Z B is (B^T kron A).
-    The projection is sum Pi_1 Phi(Pi_2 . Pi_3) Pi_4 over the cluster
-    projectors of H0hat with e1 - e2 + e3 - e4 = 0 within the clustering
-    tolerance.  In the eigenbasis V of H0hat that sum is a mask: with
-    W = V^* kron V (so vec(V Z V^dag) = W vec Z), Y = W^dag Phi W keeps its
-    entry from input (k, l) to output (i, j) iff e_i - e_k + e_l - e_j = 0.
+    The projection is the long-time average under the Liouvillian
+    L0 = I kron H0hat - H0hat^T kron I, which W = V^* kron V diagonalizes
+    (V the eigenbasis of H0hat, vec(V Z V^dag) = W vec Z) with eigenvalue
+    e_i - e_j at index i + d j.  So Y = W^dag Phi W keeps its entry from
+    input (k, l) to output (i, j) iff the Bohr frequencies e_i - e_j and
+    e_k - e_l share a resonance class.
     """
     H0hat = linalg.as_matrix(H0hat)
     d = H0hat.shape[0]
@@ -115,7 +115,8 @@ def project_superoperator(
     W = np.kron(V.conj(), V)
     # Y[i + d j, k + d l] is Y4[i, j, k, l] in Fortran order
     Y4 = (W.conj().T @ Phi @ W).reshape((d, d, d, d), order="F")
-    keep = _resonant_quadruples(part).transpose(0, 3, 1, 2)
+    label = _bohr_labels(part)
+    keep = label[:, :, None, None] == label[None, None, :, :]
     Y = np.where(keep, Y4, 0.0).reshape((d * d, d * d), order="F")
     return W @ Y @ W.conj().T
 
@@ -136,12 +137,12 @@ def averaged_unitary_moments(
     each operator product X = X_1 ... X_m in ``products``, where
     M(s) = exp(i Hhat(s) t) is exp(i Hhat t) in the frame shifted by s.
 
-    Evaluated exactly by Bohr-frequency decomposition: with M = exp(i Hhat t),
-    the average equals the sum over cluster projectors a, b, c, d of H0hat
-    with (e_a - e_b) + (e_c - e_d) = 0 of  Pi_a M Pi_b X Pi_c M^dag Pi_d.
-    In the eigenbasis of H0hat (M' = V^dag M V, X' = V^dag X V) that is one
-    masked contraction: entry (a, d) sums M'_ab X'_bc (M'^dag)_cd over the
-    eigenvector pairs (b, c) whose cluster means satisfy the same condition.
+    Evaluated exactly by Bohr-frequency decomposition: X -> M X M^dag with
+    M = exp(i Hhat t) is the superoperator M^* kron M, and its average is
+    ``project_superoperator``'s.  In the eigenbasis of H0hat
+    (M' = V^dag M V, X' = V^dag X V) that is one masked contraction: entry
+    (a, d) sums M'_ab X'_bc (M'^dag)_cd over the eigenvector pairs (b, c)
+    whose Bohr frequency e_b - e_c shares the resonance class of e_a - e_d.
     Returns the stack of averages, one per product.
     """
     H0hat = linalg.as_matrix(H0hat)
@@ -152,8 +153,9 @@ def averaged_unitary_moments(
     part = resonance_partition(H0hat, tol)
     eig = part.decomposition
     Mp = eig.to_eigenbasis(M)
-    # kernel[a, b, c, d] = M'_ab (M'^dag)_cd on the resonant quadruples
-    kernel = np.where(_resonant_quadruples(part),
+    # kernel[a, b, c, d] = M'_ab (M'^dag)_cd where e_a - e_d and e_b - e_c resonate
+    label = _bohr_labels(part)
+    kernel = np.where(label[:, None, None, :] == label[None, :, :, None],
                       Mp[:, :, None, None] * Mp.conj().T[None, None, :, :], 0.0)
     return eig.from_eigenbasis(np.tensordot(eig.to_eigenbasis(X), kernel, axes=([1, 2], [1, 2])))
 

@@ -23,7 +23,7 @@ class ResonancePartition:
     """The averaging frame of a Hermitian generator M (h0 = -iM).
 
     Eigenvalues within ``gap`` = tol * (1 + spread) of each other (single
-    linkage on the sorted spectrum) share a cluster label; the eigenbasis
+    linkage, ``resonance_labels``) share a cluster label; the eigenbasis
     entry (a, b) is resonant iff a and b share a cluster.  The long-time
     average keeps exactly the resonant entries.
     """
@@ -93,6 +93,15 @@ class ResonancePartition:
         return self.decomposition.from_eigenbasis(np.where(self.mask, Y, 0.0))
 
 
+def resonance_labels(w: np.ndarray, gap: float) -> np.ndarray:
+    """The resonance rule: single linkage on the sorted real frequencies w,
+    where neighbours at most ``gap`` apart share a class.  Classes are
+    numbered in ascending order of frequency; labels come in input order."""
+    order = np.argsort(w, kind="stable")
+    sorted_labels = np.cumsum(np.diff(w[order], prepend=w[order[:1]]) > gap)
+    return sorted_labels[np.argsort(order)]
+
+
 def resonance_partition(
     M: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL
 ) -> ResonancePartition:
@@ -101,8 +110,7 @@ def resonance_partition(
     w = eig.eigenvalues
     spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
     gap = tol * (1.0 + spread)
-    labels = np.concatenate([[0], np.cumsum(np.diff(w) > gap)])
-    return ResonancePartition(decomposition=eig, labels=labels, gap=gap)
+    return ResonancePartition(decomposition=eig, labels=resonance_labels(w, gap), gap=gap)
 
 
 def project_with(X: np.ndarray, partition: ResonancePartition) -> np.ndarray:

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from . import linalg
+from .dynamics import TimeGrid, exact_series
 from .errors import TooManyModes
 from .fermion import (
     FermionHamiltonian,
@@ -30,7 +31,6 @@ from .fock import (
 from .perturbation import resonance_frame
 from .projector import (
     DEFAULT_RESONANCE_TOL,
-    effective_propagator,
     free_moment_generator_hermitian,
     project_with,
     resonance_partition,
@@ -136,12 +136,12 @@ def operator_products(rep, m: int) -> list:
 def moment_equivalence_residual(
     split: SplitHamiltonian, m: int, t: float, tol: float = DEFAULT_RESONANCE_TOL
 ) -> float:
-    """Core equivalence: matrix-level averaged moment propagator applied to
-    the operator tensor versus the Fock-oracle averaged conjugation."""
+    """Core equivalence: ``exact_series``'s averaged moment propagator applied
+    to the operator tensor versus the Fock-oracle averaged conjugation."""
     rep = jordan_wigner(split.n)
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
-    W = effective_propagator(split, m, t, tol)
+    W = exact_series(split, m, TimeGrid(t, 1), tol).values[-1]
     products = np.array(operator_products(rep, m))
     oracle = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
     approx = np.tensordot(W, products, axes=1)

@@ -12,7 +12,7 @@ from effheis.fock import (
     quadratize,
     unitary_conjugation_superoperator,
 )
-from effheis.projector import resonance_partition
+from effheis.projector import project, resonance_partition
 from effheis.verify import random_complex, random_valid_fermion, run_verification
 
 
@@ -150,6 +150,57 @@ class TestMaskMatchesClusterLoops:
             for X, average in zip(products, got, strict=True):
                 want = loop_averaged_conjugation(Hhat, H0hat, X, 0.7)
                 assert linalg.max_abs(average - want) < 1e-12
+
+
+def liouvillian(H0hat, tol):
+    """L0 = I kron H0hat - H0hat^T kron I, the generator of Z -> [H0hat, Z]
+    in column-stacking vec, with the tolerance tol (1 + s) / (1 + 2 s) at
+    which its clustering gap (its spectrum spans 2 s) equals H0hat's."""
+    d = len(H0hat)
+    e = np.linalg.eigvalsh(H0hat)
+    s = e[-1] - e[0]
+    return np.kron(np.eye(d), H0hat) - np.kron(H0hat.T, np.eye(d)), tol * (1 + s) / (1 + 2 * s)
+
+
+def reference_free_hamiltonians():
+    """(H0hat, tol): random and degenerate n = 3 Fock Hamiltonians, and a
+    chained spectrum whose Bohr frequencies 1, 1 + 0.7g, 1 + 1.4g link in
+    one class at tol 1e-3 (gap 4.0e-3) although the outer two lie 5.6e-3
+    apart."""
+    rep, g = jordan_wigner(3), 4e-3
+    return {
+        "random": (quadratize(random_valid_fermion(3, np.random.default_rng(3)), rep), 1e-9),
+        "degenerate": (quadratize(eh.diagonal_modes([1.0, 1.0, 2.0]), rep), 1e-9),
+        "chain": (np.diag([0.0, 1.0, 2.0 + 0.7 * g, 3.0 + 2.1 * g]), 1e-3),
+    }
+
+
+class TestLiouvillianReference:
+    """Both Fock averages are the matrix average of ``project`` with the
+    Liouvillian as generator."""
+
+    @pytest.mark.parametrize("case", ["random", "degenerate", "chain"])
+    def test_project_superoperator(self, rng, case):
+        H0hat, tol = reference_free_hamiltonians()[case]
+        L0, tol_l = liouvillian(H0hat, tol)
+        Phi = random_complex(len(L0), rng)
+        want = project(Phi, L0, tol_l)
+        assert linalg.max_abs(project_superoperator(Phi, H0hat, tol) - want) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["random", "degenerate", "chain"])
+    def test_averaged_unitary_moments(self, rng, case):
+        H0hat, tol = reference_free_hamiltonians()[case]
+        L0, tol_l = liouvillian(H0hat, tol)
+        d, t = len(H0hat), 0.7
+        A = random_complex(d, rng)
+        Hhat = (A + A.conj().T) / 2
+        M = linalg.matrix_exponential(1j * t * Hhat)
+        averaged = project(np.kron(M.conj(), M), L0, tol_l)
+        products = [random_complex(d, rng) for _ in range(3)]
+        got = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
+        for X, average in zip(products, got, strict=True):
+            want = (averaged @ X.flatten(order="F")).reshape((d, d), order="F")
+            assert linalg.max_abs(average - want) <= 1e-12
 
 
 class TestProjectSuperoperator:

@@ -282,7 +282,8 @@ class TestBatchedKappa2:
         assert got.shape == (len(nodes), int(partition.mask.sum()))
         for t, entries in zip(nodes, got):
             want = dense_kappa2(partition, hI, gen.kappa1, t)
-            assert linalg.max_abs(partition.dense(entries) - want) <= 1e-14
+            # relative to the size of the result: round-off grows with d |hI|^2
+            assert linalg.max_abs(partition.dense(entries) - want) <= 1e-14 * max(1.0, linalg.max_abs(want))
 
     def test_scalar_time_gives_one_row(self, detuned_split):
         gen = kappa12(detuned_split, 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effheis as eh
 from effheis import linalg
@@ -11,9 +13,14 @@ from effheis.projector import (
     numeric_time_average,
     project,
     project_with,
+    resonance_labels,
     resonance_partition,
 )
 from effheis.verify import moment_equivalence_residual
+
+# at tol 2^-10 a spectrum spanning [0, 1] clusters at gap 2^-9, exactly
+BOUNDARY_TOL = 2.0**-10
+BOUNDARY_GAP = 2.0**-9
 
 
 def loop_cluster_values(part):
@@ -66,6 +73,45 @@ class TestResonancePartition:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             resonance_partition(np.array([[0, 1], [0, 0]]), 1e-9)
+
+
+@st.composite
+def boundary_spectra(draw):
+    """Sorted dyadic spectra on [0, 1] whose inner neighbour steps are 0,
+    half, exactly one, just past one or two clustering gaps; every value and
+    every step is exact in floating point."""
+    units = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2.0**-20, 2.0]), max_size=12))
+    inner = 0.25 + np.cumsum([0.0, *units]) * BOUNDARY_GAP
+    return np.concatenate([[0.0], inner, [1.0]])
+
+
+def linked(w, gap):
+    """Reference: same[i, j] iff a path of steps |w_a - w_b| <= gap joins
+    w_i and w_j (connected components, no sorting)."""
+    adjacency = (np.abs(w[:, None] - w[None, :]) <= gap).astype(np.int64)
+    return np.linalg.matrix_power(adjacency, len(w)) > 0
+
+
+class TestResonanceLabels:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(boundary_spectra(), st.randoms(use_true_random=False))
+    def test_permuted_input_same_partition(self, w, random):
+        order = list(range(len(w)))
+        random.shuffle(order)
+        lab = resonance_labels(w[order], BOUNDARY_GAP)
+        want = resonance_labels(w, BOUNDARY_GAP)[order]
+        np.testing.assert_array_equal(lab[:, None] == lab[None, :], want[:, None] == want[None, :])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(boundary_spectra())
+    def test_sorted_input_matches_partition(self, w):
+        part = resonance_partition(np.diag(w), BOUNDARY_TOL)
+        # the boundary steps sit exactly at the partition's gap
+        assert part.gap == BOUNDARY_GAP
+        np.testing.assert_array_equal(part.eigenvalues, w)
+        lab = resonance_labels(w, BOUNDARY_GAP)
+        np.testing.assert_array_equal(lab, part.labels)
+        np.testing.assert_array_equal(lab[:, None] == lab[None, :], linked(w, BOUNDARY_GAP))
 
 
 class TestProject:
