@@ -153,7 +153,7 @@ def averaged_unitary_moments(
     part = resonance_partition(H0hat, tol)
     eig = part.decomposition
     Mp = eig.to_eigenbasis(M)
-    # kernel[a, b, c, d] = M'_ab (M'^dag)_cd where e_a - e_d and e_b - e_c resonate
+    # kernel[a, b, c, d] = M'_ab (M'^dag)_cd where e_a - e_d and e_b - e_c share a class
     label = _bohr_labels(part)
     kernel = np.where(label[:, None, None, :] == label[None, :, :, None],
                       Mp[:, :, None, None] * Mp.conj().T[None, None, :, :], 0.0)
