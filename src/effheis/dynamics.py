@@ -11,14 +11,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
-from .fermion import SplitHamiltonian, moment_generator
+from .fermion import SplitHamiltonian
 from .perturbation import TimeLocalGenerator, kappa12
-from .projector import (
-    DEFAULT_RESONANCE_TOL,
-    ResonancePartition,
-    free_moment_generator_hermitian,
-    resonance_partition,
-)
+from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
 
 # an order study is degenerate when every error sits at round-off
 ROUND_OFF = 1e-13
@@ -61,34 +56,39 @@ def exact_series(
 ) -> PropagatorSeries:
     """Averaged propagator P(exp(h t)) at every grid point.
 
-    With h = -i V_h diag(w_h) V_h^dag and A = V0^dag V_h, exp(h t) is
-    (A e^{-i w_h t}) A^dag in M0's eigenbasis V0, where P keeps its
-    resonant blocks."""
-    h = moment_generator(split.total(), m)
-    M0 = free_moment_generator_hermitian(split, m)
-    # h is anti-Hermitian: diagonalize once, exponentiate per grid point
-    h_eig = linalg.hermitian_eigendecompose(1j * h)
-    partition = resonance_partition(M0, tol)
+    exp(h t) = O(t)^{(x)m} with O(t) = exp(-i E H t), and M0's eigenbasis is
+    V0 = V1^{(x)m} with sorted columns, so entry (a, c) of exp(h t) in V0 is
+    the product over the slots k of B(t)[a_k, c_k], B(t) = V1^dag O(t) V1,
+    with (a_1, ..., a_m) the slot indices of column a.  Only the resonant
+    entries, which P keeps, are formed, from one 2n x 2n eigendecomposition
+    of E H, and they go straight to the original basis."""
+    partition = free_moment_partition(split, m, tol)
     frame = partition.decomposition
-    A = frame.basis.conj().T @ h_eig.basis
-    A_dag = A.conj().T
-    values = []
-    for t in grid.times:
-        phases = np.exp(-1j * h_eig.eigenvalues * t)
-        values.append(frame.from_eigenbasis(np.where(partition.mask, (A * phases) @ A_dag, 0.0)))
+    times = grid.times
+    K = linalg.hermitian_eigendecompose(split.total().single_particle_generator())
+    phases = np.exp(-1j * np.multiply.outer(times, K.eigenvalues))
+    B = frame.factor_to_eigenbasis((K.basis * phases[:, None, :]) @ K.basis.conj().T)
+    rows, cols = partition.resonant
+    entries = 1.0
+    for a, c in zip(frame.digits(rows), frame.digits(cols)):
+        entries = entries * B[:, a, c]
+    values = [frame.from_entries(rows, cols, e) for e in entries]
     return PropagatorSeries(grid=grid, values=values, label="exact")
 
 
 def _block_eigendecompose(partition: ResonancePartition, H: np.ndarray):
     """Eigendecomposition of a Hermitian H that is block-diagonal over the
-    clusters of ``partition``, one cluster at a time: the basis W is
-    block-diagonal too, with ascending eigenvalues inside each block."""
-    W = np.zeros_like(H)
-    w = np.empty(len(H))
-    for lo, hi in zip(partition.bounds, [*partition.bounds[1:], len(H)]):
+    clusters of ``partition``, one cluster at a time, as stacks zero-padded
+    to the largest cluster: block b of H is W[b] diag(w[b]) W[b]^dag on its
+    leading rows and columns, with ascending eigenvalues."""
+    bounds = [*partition.bounds, len(H)]
+    sizes = np.diff(bounds)
+    W = np.zeros((len(sizes), sizes.max(), sizes.max()), dtype=complex)
+    w = np.zeros((len(sizes), sizes.max()))
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         block = linalg.hermitian_eigendecompose(H[lo:hi, lo:hi])
-        W[lo:hi, lo:hi] = block.basis
-        w[lo:hi] = block.eigenvalues
+        W[b, : hi - lo, : hi - lo] = block.basis
+        w[b, : hi - lo] = block.eigenvalues
     return W, w
 
 
@@ -111,34 +111,32 @@ def integrate_time_local(
     Everything happens in M0's eigenbasis V0, where l1 = -i diag(lam) +
     coupling * kappa1 is block-diagonal over the resonance clusters and is
     eigendecomposed one block at a time, l1 = -i W diag(w) W^dag.  RK4 runs
-    on the blocks, and the original basis is reached through U = V0 W at
-    grid points only.
+    on the blocks, and exp(l1 t) Phi = W e^{-iwt} Phi W^dag, formed on the
+    blocks at grid points only, goes to the original basis through
+    ``from_entries``.
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
     part, c = gen.partition, gen.coupling
-    d = len(gen.kappa1)
+    frame = part.decomposition
     W, w = _block_eigendecompose(part, np.diag(part.eigenvalues) + 1j * c * gen.kappa1)
-    U = part.decomposition.basis @ W
-    U_dag = U.conj().T
+    W_dag = W.conj().transpose(0, 2, 1)
     times, dt = grid.times, grid.dt
     label = f"timelocal-order{order}"
-    if order == 1:
-        values = [(U * np.exp(-1j * w * t)) @ U_dag for t in times]
-        return PropagatorSeries(grid=grid, values=values, label=label)
-
-    # Phi and the rotated kappa2 are block-diagonal: RK4 runs on the blocks,
-    # stacked and zero-padded to the largest one; the entries inside the
-    # blocks, in stack order, are the resonant entries in partition order
-    sizes = np.diff(part.bounds, append=d)
-    offsets = np.arange(sizes.max())
-    valid = offsets < sizes[:, None]
-    index = np.where(valid, part.bounds[:, None] + offsets, 0)
-    rows, cols = index[:, :, None], index[:, None, :]
+    # the entries inside the padded blocks, in stack order, are the
+    # resonant entries in partition order
+    sizes = np.diff(part.bounds, append=len(part.eigenvalues))
+    valid = np.arange(W.shape[1]) < sizes[:, None]
     inside = valid[:, :, None] & valid[:, None, :]
-    W_blocks = np.where(inside, W[rows, cols], 0.0)
-    W_blocks_dag = W_blocks.conj().transpose(0, 2, 1)
-    w_blocks = w[index]
+
+    def psi(t: float, phi: np.ndarray) -> np.ndarray:
+        """exp(l1 t) Phi in the original basis, for Phi as padded blocks."""
+        blocks = (W * np.exp(-1j * w * t)[:, None, :]) @ phi @ W_dag
+        return frame.from_entries(*part.resonant, blocks[inside])
+
+    phi = (inside & np.eye(W.shape[1], dtype=bool)).astype(complex)
+    if order == 1:
+        return PropagatorSeries(grid=grid, values=[psi(t, phi) for t in times], label=label)
 
     # every grid point and interval midpoint, in time order, in one call
     nodes = np.empty(2 * grid.steps + 1)
@@ -150,7 +148,7 @@ def integrate_time_local(
     # original-basis test runs only at the nodes where the bound fails
     # (vecdot, unlike norm, makes no temporary the size of K)
     for j in np.flatnonzero(np.sqrt(np.vecdot(K, K).real) * dt > 1.0):
-        worst = linalg.max_abs(part.decomposition.from_eigenbasis(part.dense(K[j])))
+        worst = linalg.max_abs(frame.from_entries(*part.resonant, K[j]))
         if worst * dt > 1.0:
             raise StepTooLarge(
                 f"max_abs(coupling^2 kappa2({nodes[j]:.3g})) * dt = {worst * dt:.3g} > 1"
@@ -161,14 +159,9 @@ def integrate_time_local(
         eigenbasis, as padded blocks."""
         block = np.zeros(inside.shape, dtype=complex)
         block[inside] = K[j]
-        phases = np.exp(1j * w_blocks * nodes[j])
-        return (W_blocks_dag @ block @ W_blocks) * (phases[:, :, None] * phases.conj()[:, None, :])
+        phases = np.exp(1j * w * nodes[j])
+        return (W_dag @ block @ W) * (phases[:, :, None] * phases.conj()[:, None, :])
 
-    def psi(t: float, phi: np.ndarray) -> np.ndarray:
-        """exp(l1 t) Phi in the original basis."""
-        return (U * np.exp(-1j * w * t)) @ part.dense(phi[inside]) @ U_dag
-
-    phi = (inside & (rows == cols)).astype(complex)
     values = [psi(times[0], phi)]
     k_end = rotated_kappa2(0)
     for j, t_next in enumerate(times[1:]):

@@ -15,14 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import UnsupportedOrder
-from .fermion import SplitHamiltonian, moment_generator
-from .projector import (
-    DEFAULT_RESONANCE_TOL,
-    ResonancePartition,
-    free_moment_generator_hermitian,
-    resonance_partition,
-)
+from .fermion import SplitHamiltonian
+from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
 
 # Below |z| = 1e-2 the six-term series is exact to round-off; above it the
 # expm1 forms lose at most ~eps / |z| of phi to cancellation.
@@ -62,10 +58,13 @@ def resonance_frame(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> tuple[ResonancePartition, np.ndarray]:
     """Resonance partition of the free moment generator M0, and the
-    interaction moment generator hI in M0's eigenbasis."""
-    partition = resonance_partition(free_moment_generator_hermitian(split, m), tol)
-    hI = moment_generator(split.interaction, m)
-    return partition, partition.decomposition.to_eigenbasis(hI)
+    interaction moment generator hI = -i kron_sum(E HI, m) in M0's
+    eigenbasis V0 = V1^{(x)m} (columns sorted): that is
+    -i kron_sum(V1^dag E HI V1, m), rows and columns gathered in sort order."""
+    partition = free_moment_partition(split, m, tol)
+    frame = partition.decomposition
+    G = frame.factor_to_eigenbasis(split.interaction.single_particle_generator())
+    return partition, -1j * linalg.kron_sum(G, m)[np.ix_(frame.order, frame.order)]
 
 
 def mu1(

@@ -26,9 +26,14 @@ class ResonancePartition:
     linkage, ``resonance_labels``) share a cluster label; the eigenbasis
     entry (a, b) is resonant iff a and b share a cluster.  The long-time
     average keeps exactly the resonant entries.
+
+    ``decomposition`` is M's eigendecomposition: a dense one, or the
+    Kronecker-factored one of a moment generator (``free_moment_partition``);
+    both go to and from the eigenbasis through ``to_eigenbasis`` and
+    ``from_eigenbasis``.
     """
 
-    decomposition: linalg.HermitianEigenDecomposition
+    decomposition: linalg.HermitianEigenDecomposition | linalg.KroneckerEigenDecomposition
     labels: np.ndarray
     gap: float
 
@@ -102,11 +107,10 @@ def resonance_labels(w: np.ndarray, gap: float) -> np.ndarray:
     return sorted_labels[np.argsort(order)]
 
 
-def resonance_partition(
-    M: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL
-) -> ResonancePartition:
-    """Cluster the spectrum of Hermitian M into resonance classes."""
-    eig = linalg.hermitian_eigendecompose(M)
+def resonance_partition(M, tol: float = DEFAULT_RESONANCE_TOL) -> ResonancePartition:
+    """Cluster the spectrum of Hermitian M into resonance classes.  M is a
+    matrix, or an eigendecomposition of one with ascending eigenvalues."""
+    eig = M if hasattr(M, "eigenvalues") else linalg.hermitian_eigendecompose(M)
     w = eig.eigenvalues
     spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
     gap = tol * (1.0 + spread)
@@ -153,8 +157,20 @@ def numeric_time_average(
 
 
 def free_moment_generator_hermitian(split: SplitHamiltonian, m: int) -> np.ndarray:
-    """Hermitian matrix M0 with h0^(m) = -i M0 (the free moment generator)."""
+    """Hermitian matrix M0 with h0^(m) = -i M0 (the free moment generator),
+    dense: the reference that ``free_moment_partition`` factors."""
     return linalg.kron_sum(split.base.single_particle_generator(), m)
+
+
+def free_moment_partition(
+    split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
+) -> ResonancePartition:
+    """Resonance partition of M0 = kron_sum(E H0, m) from the 2n x 2n E H0
+    alone: its eigenbasis is V1^{(x)m} with sorted columns
+    (``linalg.kron_sum_eigendecompose``), and M0 itself is never formed."""
+    return resonance_partition(
+        linalg.kron_sum_eigendecompose(split.base.single_particle_generator(), m), tol
+    )
 
 
 def effective_propagator(

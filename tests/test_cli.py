@@ -178,6 +178,13 @@ class TestEvolve:
         code, _ = run(tmp_path, "evolve", "--config", cfg, "--order", "2")
         assert code == 1
 
+    def test_moment_dimension_over_cap_is_runtime_error(self, tmp_path, capsys):
+        # (2n)^m = 4^7 exceeds linalg.DIM_CAP
+        cfg = write_config(tmp_path, dict(BASE, m=7))
+        code, report = run(tmp_path, "evolve", "--config", cfg, "--order", "2")
+        assert code == 1 and report is None
+        assert "DimensionOverflow" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path):
         csv_path = tmp_path / "series.csv"
         code, report = run(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,13 @@ from effheis.dynamics import (
     integrate_time_local,
     order_estimate,
 )
-from effheis.errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
+from effheis.errors import (
+    DegenerateFit,
+    DimensionOverflow,
+    GridMismatch,
+    StepTooLarge,
+    UnsupportedOrder,
+)
 from effheis.fermion import moment_generator
 from effheis.perturbation import kappa12
 from effheis.projector import (
@@ -123,14 +130,15 @@ def original_basis_kappa2s(gen, grid):
 
 @st.composite
 def engine_splits(draw):
-    """n in {1, 2, 3}, m in {1, 2}; H0 either a random valid fermion
-    (non-diagonal, so M0's eigenbasis is not a permutation) or diagonal with
-    frequencies drawn from {1, 2} (degenerate clusters).  Up to n = 2 kappa2
-    commutes with l1, so only n = 3 exercises the frame rotation.  Couplings
-    up to 1 split the clusters far enough that l1's eigenvalues change order
-    across them."""
+    """n in {1, 2, 3}, m in {1, 2}, and m = 3 at n <= 2 (three Kronecker
+    slots); H0 either a random valid fermion (non-diagonal, so M0's
+    eigenbasis is not a permutation) or diagonal with frequencies drawn from
+    {1, 2} (degenerate clusters).  At m = 1 and n <= 2 kappa2 commutes with
+    l1, so n = 3 or m >= 2 exercises the frame rotation.  Couplings up to 1
+    split the clusters far enough that l1's eigenvalues change order across
+    them."""
     n = draw(st.sampled_from([1, 2, 3]))
-    m = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2, 3] if n <= 2 else [1, 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         base = random_valid_fermion(n, rng)
@@ -349,6 +357,48 @@ class TestEigenbasisEngine:
         with pytest.raises(StepTooLarge) as got:
             integrate_time_local(gen, 2, grid)
         assert str(got.value) == str(want.value)
+
+
+class TestKroneckerFrame:
+    """The moment path never forms M0's d x d eigenbasis."""
+
+    def test_no_moment_sized_eigendecomposition(self, monkeypatch):
+        # diagonal H0 at (n, m) = (4, 2): only E H (8 x 8) and the cluster
+        # blocks of l1 are eigendecomposed, never a 64 x 64 matrix
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.3, 1.7, 2.3]),
+            interaction=random_valid_fermion(4, np.random.default_rng(4)),
+            coupling=0.1,
+        )
+        dims = []
+        eigendecompose = linalg.hermitian_eigendecompose
+
+        def spy(M):
+            dims.append(len(M))
+            return eigendecompose(M)
+
+        monkeypatch.setattr(linalg, "hermitian_eigendecompose", spy)
+        grid = TimeGrid(0.5, 10)
+        exact_series(split, 2, grid)
+        integrate_time_local(kappa12(split, 2), 2, grid)
+        assert dims and max(dims) < 64
+
+    @pytest.mark.parametrize(
+        "base", [eh.diagonal_modes([1.0, 2.0]), random_valid_fermion(2, np.random.default_rng(2))]
+    )
+    def test_dimension_cap_before_allocation(self, base):
+        # (2n)^m = 4^7 = 16384 > DIM_CAP: refused before one float per basis
+        # vector is allocated
+        split = eh.SplitHamiltonian(base=base, interaction=eh.hopping(2, 1, 2, 1.0), coupling=0.1)
+        for call in (lambda: exact_series(split, 7, TimeGrid(1.0, 2)), lambda: kappa12(split, 7)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionOverflow):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4**7 * 8
 
 
 class TestCompare:

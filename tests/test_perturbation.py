@@ -256,11 +256,12 @@ def dense_kappa2(partition, hI, kappa1, t):
 
 @st.composite
 def kappa2_cases(draw):
-    """n in {1, 2, 3}, m in {1, 2}; H0 a random valid fermion (M0's
-    eigenbasis is not a permutation) or diagonal with frequencies from
-    {1, 2} (degenerate clusters); the nodes of an RK4 grid on [0, t_end]."""
+    """n in {1, 2, 3}, m in {1, 2}, and m = 3 at n <= 2; H0 a random valid
+    fermion (M0's eigenbasis is not a permutation) or diagonal with
+    frequencies from {1, 2} (degenerate clusters); the nodes of an RK4 grid
+    on [0, t_end]."""
     n = draw(st.sampled_from([1, 2, 3]))
-    m = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2, 3] if n <= 2 else [1, 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         base = random_valid_fermion(n, rng)

@@ -10,13 +10,14 @@ from effheis.fermion import SplitHamiltonian
 from effheis.projector import (
     effective_propagator,
     free_moment_generator_hermitian,
+    free_moment_partition,
     numeric_time_average,
     project,
     project_with,
     resonance_labels,
     resonance_partition,
 )
-from effheis.verify import moment_equivalence_residual
+from effheis.verify import moment_equivalence_residual, random_valid_fermion
 
 # at tol 2^-10 a spectrum spanning [0, 1] clusters at gap 2^-9, exactly
 BOUNDARY_TOL = 2.0**-10
@@ -90,6 +91,36 @@ def linked(w, gap):
     w_i and w_j (connected components, no sorting)."""
     adjacency = (np.abs(w[:, None] - w[None, :]) <= gap).astype(np.int64)
     return np.linalg.matrix_power(adjacency, len(w)) > 0
+
+
+class TestFreeMomentPartition:
+    """The Kronecker-factored partition of M0 against the dense one."""
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "random"])
+    def test_matches_dense_partition(self, n, m, kind):
+        rng = np.random.default_rng(n + 10 * m)
+        base = {
+            "generic": lambda: eh.diagonal_modes(np.sqrt([2.0, 3.0, 5.0, 7.0][:n])),
+            "degenerate": lambda: eh.diagonal_modes([1.0, 2.0, 2.0, 1.0][:n]),
+            "random": lambda: random_valid_fermion(n, rng),
+        }[kind]()
+        split = SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
+        M0 = free_moment_generator_hermitian(split, m)
+        got = free_moment_partition(split, m)
+        want = resonance_partition(M0)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.bounds, want.bounds)
+        assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-13
+        if kind == "random":
+            # the spreads, and so the gaps, carry the eigenvalues' round-off
+            assert got.gap == pytest.approx(want.gap, rel=1e-14, abs=0)
+        else:
+            assert got.gap == want.gap
+        # the factored basis diagonalizes M0 in the sorted order
+        eig = got.decomposition
+        assert linalg.max_abs(eig.to_eigenbasis(M0) - np.diag(eig.eigenvalues)) <= 1e-13
+        assert (eig.factor is None) == (kind != "random")
 
 
 class TestResonanceLabels:
