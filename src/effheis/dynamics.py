@@ -13,7 +13,7 @@ from . import linalg
 from .errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
 from .fermion import SplitHamiltonian
 from .perturbation import TimeLocalGenerator, kappa12
-from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
+from .projector import DEFAULT_RESONANCE_TOL, free_moment_partition
 
 # an order study is degenerate when every error sits at round-off
 ROUND_OFF = 1e-13
@@ -76,20 +76,55 @@ def exact_series(
     return PropagatorSeries(grid=grid, values=values, label="exact")
 
 
-def _block_eigendecompose(partition: ResonancePartition, H: np.ndarray):
-    """Eigendecomposition of a Hermitian H that is block-diagonal over the
-    clusters of ``partition``, one cluster at a time, as stacks zero-padded
-    to the largest cluster: block b of H is W[b] diag(w[b]) W[b]^dag on its
-    leading rows and columns, with ascending eigenvalues."""
-    bounds = [*partition.bounds, len(H)]
-    sizes = np.diff(bounds)
-    W = np.zeros((len(sizes), sizes.max(), sizes.max()), dtype=complex)
-    w = np.zeros((len(sizes), sizes.max()))
-    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        block = linalg.hermitian_eigendecompose(H[lo:hi, lo:hi])
-        W[b, : hi - lo, : hi - lo] = block.basis
-        w[b, : hi - lo] = block.eigenvalues
-    return W, w
+def _sandwich_blocks(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[b] @ X_j[b] @ right[b] for every block b and node j, as
+    (blocks, nodes, s, s), with X given as (blocks, s, nodes, s): the X_j
+    side by side.  That is two GEMM-shaped products per block, the nodes'
+    columns against ``left`` and then their rows against ``right``, where
+    numpy's stacked matmul would make one small BLAS call per block and
+    node."""
+    blocks, s, nodes, _ = X.shape
+    Y = (left @ X.reshape(blocks, s, nodes * s)).reshape(blocks, s, nodes, s)
+    del X  # a temporary argument is freed before the next product
+    Y = Y.transpose(0, 2, 1, 3).reshape(blocks, nodes * s, s)
+    return (Y @ right).reshape(blocks, nodes, s, s)
+
+
+def _rk4_blocks(rotated: np.ndarray, dt: float) -> np.ndarray:
+    """Phi at every grid point, laid out (blocks, s, steps + 1, s), from
+    classic RK4 on dPhi/dt = k(t) Phi, Phi(0) = I, with k at the nodes (grid
+    points and midpoints, in time order) given as (blocks, nodes, s, s).
+
+    The equation is linear, so step n is Phi <- R_n Phi with
+    R_n = I + dt/6 (s1 + 2 s2 + 2 s3 + s4), the RK4 stages taken on Phi = I;
+    the R_n of all steps are formed in one batch."""
+    start, mid, end = rotated[:, 0:-1:2], rotated[:, 1::2], rotated[:, 2::2]
+    eye = np.eye(rotated.shape[-1])
+    # stages s1 = start, s2, s3, s4 summed into ``step`` as they are made,
+    # each stage's input I + c s_k formed in ``factor``
+    factor = dt / 2 * start
+    factor += eye
+    stage = mid @ factor
+    step = 2 * stage
+    step += start
+    np.multiply(stage, dt / 2, out=factor)
+    factor += eye
+    np.matmul(mid, factor, out=stage)
+    np.multiply(stage, dt, out=factor)
+    factor += eye
+    stage *= 2
+    step += stage
+    np.matmul(end, factor, out=stage)
+    step += stage
+    del factor, stage
+    step *= dt / 6
+    step += eye
+    blocks, steps, s, _ = step.shape
+    phi = np.empty((blocks, s, steps + 1, s), dtype=complex)
+    phi[:, :, 0] = eye
+    for n in range(steps):
+        np.matmul(step[:, n], phi[:, :, n], out=phi[:, :, n + 1])
+    return phi
 
 
 def integrate_time_local(
@@ -100,7 +135,7 @@ def integrate_time_local(
     """Solve dPsi/dt = l(t) Psi, Psi(0) = I, for l(t) = l1 + coupling^2 kappa2(t)
     with the constant part l1 = h0 + coupling * kappa1.
 
-    Writes Psi(t) = exp(l1 t) Phi(t), with exp(l1 t) exact from one
+    Writes Psi(t) = exp(l1 t) Phi(t), with exp(l1 t) exact from the
     eigendecomposition of l1.  At order 1 Phi = I.  At order 2 classic RK4,
     one step per grid interval, integrates
     dPhi/dt = exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) Phi in l1's
@@ -109,70 +144,68 @@ def integrate_time_local(
     max_abs(coupling^2 kappa2(t)) * dt > 1 at a node.
 
     Everything happens in M0's eigenbasis V0, where l1 = -i diag(lam) +
-    coupling * kappa1 is block-diagonal over the resonance clusters and is
-    eigendecomposed one block at a time, l1 = -i W diag(w) W^dag.  RK4 runs
-    on the blocks, and exp(l1 t) Phi = W e^{-iwt} Phi W^dag, formed on the
-    blocks at grid points only, goes to the original basis through
-    ``from_entries``.
+    coupling * kappa1 is block-diagonal over the resonance clusters.  The
+    clusters are taken in buckets of one size, with no padding, and each
+    bucket is one stack of blocks: l1 = -i W diag(w) W^dag is one stacked
+    eigendecomposition, the rotation of kappa2 into l1's eigenbasis covers
+    all nodes at once, RK4 runs on the stack, and exp(l1 t) Phi =
+    W e^{-iwt} Phi W^dag is formed at all grid points at once.  Its entries
+    go to the original basis through ``from_entries``.
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
     part, c = gen.partition, gen.coupling
     frame = part.decomposition
-    W, w = _block_eigendecompose(part, np.diag(part.eigenvalues) + 1j * c * gen.kappa1)
-    W_dag = W.conj().transpose(0, 2, 1)
     times, dt = grid.times, grid.dt
-    label = f"timelocal-order{order}"
-    # the entries inside the padded blocks, in stack order, are the
-    # resonant entries in partition order
-    sizes = np.diff(part.bounds, append=len(part.eigenvalues))
-    valid = np.arange(W.shape[1]) < sizes[:, None]
-    inside = valid[:, :, None] & valid[:, None, :]
+    if order == 2:
+        # every grid point and interval midpoint, in time order, in one call
+        nodes = np.empty(2 * grid.steps + 1)
+        nodes[0::2] = times
+        nodes[1::2] = times[:-1] + dt / 2
+        K = gen.kappa2_of_t(nodes)
+        K *= c**2
+        # max_abs <= Frobenius norm, which V0 leaves unchanged: the exact
+        # original-basis test runs only at the nodes where the bound fails
+        # (vecdot, unlike norm, makes no temporary the size of K)
+        for j in np.flatnonzero(np.sqrt(np.vecdot(K, K).real) * dt > 1.0):
+            worst = linalg.max_abs(frame.from_entries(*part.resonant, K[j]))
+            if worst * dt > 1.0:
+                raise StepTooLarge(
+                    f"max_abs(coupling^2 kappa2({nodes[j]:.3g})) * dt = {worst * dt:.3g} > 1"
+                )
 
-    def psi(t: float, phi: np.ndarray) -> np.ndarray:
-        """exp(l1 t) Phi in the original basis, for Phi as padded blocks."""
-        blocks = (W * np.exp(-1j * w * t)[:, None, :]) @ phi @ W_dag
-        return frame.from_entries(*part.resonant, blocks[inside])
-
-    phi = (inside & np.eye(W.shape[1], dtype=bool)).astype(complex)
-    if order == 1:
-        return PropagatorSeries(grid=grid, values=[psi(t, phi) for t in times], label=label)
-
-    # every grid point and interval midpoint, in time order, in one call
-    nodes = np.empty(2 * grid.steps + 1)
-    nodes[0::2] = times
-    nodes[1::2] = times[:-1] + dt / 2
-    K = gen.kappa2_of_t(nodes)
-    K *= c**2
-    # max_abs <= Frobenius norm, which V0 leaves unchanged: the exact
-    # original-basis test runs only at the nodes where the bound fails
-    # (vecdot, unlike norm, makes no temporary the size of K)
-    for j in np.flatnonzero(np.sqrt(np.vecdot(K, K).real) * dt > 1.0):
-        worst = linalg.max_abs(frame.from_entries(*part.resonant, K[j]))
-        if worst * dt > 1.0:
-            raise StepTooLarge(
-                f"max_abs(coupling^2 kappa2({nodes[j]:.3g})) * dt = {worst * dt:.3g} > 1"
+    # i l1 = diag(lam) + i coupling kappa1, as resonant entries; these run
+    # cluster by cluster, row-major, so cluster b's block is the s_b^2
+    # entries from offsets[b] on
+    hermitian = (np.diag(part.eigenvalues) + 1j * c * gen.kappa1)[part.resonant]
+    offsets = np.cumsum(part.sizes**2) - part.sizes**2
+    entries = np.empty((len(times), len(hermitian)), dtype=complex)
+    for s in np.unique(part.sizes):
+        index = offsets[part.sizes == s][:, None, None] + np.arange(s * s).reshape(s, s)
+        eig = linalg.hermitian_eigendecompose(hermitian[index])
+        W, w = eig.basis, eig.eigenvalues
+        W_dag = W.conj().transpose(0, 2, 1)
+        # e^{-iwt} at the grid points; Phi there is laid out
+        # (blocks, s, grid points, s)
+        phases = np.exp(-1j * w[:, :, None] * times)[..., None]
+        if order == 1:
+            phi = np.eye(s)[:, None, :] * phases
+        else:
+            # exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) in l1's eigenbasis
+            # at every node, from kappa2 gathered as (blocks, s, nodes, s)
+            rotated = _sandwich_blocks(
+                W_dag, K[np.arange(len(nodes))[:, None], index[:, :, None, :]], W
             )
-
-    def rotated_kappa2(j: int) -> np.ndarray:
-        """exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) at node j, in l1's
-        eigenbasis, as padded blocks."""
-        block = np.zeros(inside.shape, dtype=complex)
-        block[inside] = K[j]
-        phases = np.exp(1j * w * nodes[j])
-        return (W_dag @ block @ W) * (phases[:, :, None] * phases.conj()[:, None, :])
-
-    values = [psi(times[0], phi)]
-    k_end = rotated_kappa2(0)
-    for j, t_next in enumerate(times[1:]):
-        k_start, k_mid, k_end = k_end, rotated_kappa2(2 * j + 1), rotated_kappa2(2 * j + 2)
-        s1 = k_start @ phi
-        s2 = k_mid @ (phi + dt / 2 * s1)
-        s3 = k_mid @ (phi + dt / 2 * s2)
-        s4 = k_end @ (phi + dt * s3)
-        phi = phi + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
-        values.append(psi(t_next, phi))
-    return PropagatorSeries(grid=grid, values=values, label=label)
+            turn = np.exp(1j * w[:, None, :] * nodes[:, None])
+            rotated *= turn[..., :, None]
+            rotated *= turn.conj()[..., None, :]
+            phi = _rk4_blocks(rotated, dt)
+            del rotated
+            phi *= phases
+        # exp(l1 t) Phi = W e^{-iwt} Phi W^dag at every grid point
+        entries[:, index] = _sandwich_blocks(W, phi, W_dag).transpose(1, 0, 2, 3)
+    values = [frame.from_entries(*part.resonant, e) for e in entries]
+    return PropagatorSeries(grid=grid, values=values, label=f"timelocal-order{order}")
 
 
 def compare(a: PropagatorSeries, b: PropagatorSeries) -> dict:

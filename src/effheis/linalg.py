@@ -27,10 +27,11 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def as_matrix(A) -> np.ndarray:
-    """Coerce to a square finite complex matrix."""
+def as_matrix(A, stack: bool = False) -> np.ndarray:
+    """Coerce to a square finite complex matrix, or with ``stack`` to a
+    stack (..., s, s) of them."""
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if (M.ndim < 2 if stack else M.ndim != 2) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise ValueError("matrix contains non-finite entries")
@@ -47,47 +48,51 @@ def is_hermitian(M: np.ndarray, rtol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
-    """Eigenvalues (ascending) and a unitary eigenvector basis."""
+    """Eigenvalues (ascending) and a unitary eigenvector basis, of one
+    matrix or of each matrix in a stack."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     def to_eigenbasis(self, X: np.ndarray) -> np.ndarray:
         """V† X V."""
-        return self.basis.conj().T @ X @ self.basis
+        return self.basis.conj().swapaxes(-1, -2) @ X @ self.basis
 
     def from_eigenbasis(self, Y: np.ndarray) -> np.ndarray:
         """V Y V†."""
-        return self.basis @ Y @ self.basis.conj().T
+        return self.basis @ Y @ self.basis.conj().swapaxes(-1, -2)
 
 
 def hermitian_eigendecompose(M: np.ndarray) -> HermitianEigenDecomposition:
-    """Eigendecompose a Hermitian matrix with a deterministic phase.
+    """Eigendecompose a Hermitian matrix, or each matrix of a stack
+    (..., s, s) in one call, with a deterministic phase.
 
     Eigenvalues come out ascending; each eigenvector is rephased so that its
     largest-magnitude component is real and positive, which makes repeated
-    runs on identical input bit-reproducible.
+    runs on identical input bit-reproducible.  A stack gives, matrix by
+    matrix, bit for bit what one call per matrix gives.
 
     Raises
     ------
     NotHermitian
-        If ``max_abs(M - M†) > 1e-10 * (1 + max_abs(M))``.
+        If ``max_abs(M - M†) > 1e-10 * (1 + max_abs(M))`` for some matrix
+        of the stack.
     """
-    M = as_matrix(M)
-    if not is_hermitian(M):
-        raise NotHermitian(
-            f"hermiticity residual {hermiticity_residual(M):.3e} exceeds tolerance"
-        )
-    w, V = np.linalg.eigh((M + M.conj().T) / 2)
-    for j in range(V.shape[1]):
-        k = int(np.argmax(np.abs(V[:, j])))
-        phase = V[k, j] / abs(V[k, j])
-        V[:, j] /= phase
-    return HermitianEigenDecomposition(eigenvalues=w.real, basis=V)
+    M = as_matrix(M, stack=True)
+    M_dag = M.conj().swapaxes(-1, -2)
+    residual = np.abs(M - M_dag).max(axis=(-2, -1), initial=0.0)
+    bad = residual > 1e-10 * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
+    if bad.any():
+        raise NotHermitian(f"hermiticity residual {residual[bad].max():.3e} exceeds tolerance")
+    w, V = np.linalg.eigh((M + M_dag) / 2)
+    # the largest-magnitude component of each column (the first on ties)
+    top = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
+    V /= top / np.abs(top)
+    return HermitianEigenDecomposition(eigenvalues=w, basis=V)
 
 
 def matrix_exponential(A: np.ndarray) -> np.ndarray:

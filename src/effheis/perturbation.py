@@ -172,8 +172,8 @@ def kappa12(
     nf = len(values)
     weights = np.empty((len(partition.resonant[0]), nf), dtype=complex)
     start = 0
-    for lo, hi in zip(partition.bounds, [*partition.bounds[1:], len(hI)]):
-        s = hi - lo
+    for lo, s in zip(partition.bounds, partition.sizes):
+        hi = lo + s
         rows = weights[start : start + s * s]
         # products hI[a, x] hI[x, c] for a, c in the cluster, binned by the
         # difference of (x, c) under the row-major entry number of (a, c)

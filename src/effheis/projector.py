@@ -72,11 +72,15 @@ class ResonancePartition:
         linkage single, so every cluster is a contiguous index range."""
         return np.flatnonzero(np.diff(self.labels, prepend=-1))
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Number of eigenvalues in each cluster, in label order."""
+        return np.diff(self.bounds, append=len(self.labels))
+
     @property
     def cluster_values(self) -> np.ndarray:
         """Mean eigenvalue of each cluster, in label order."""
-        sizes = np.diff(self.bounds, append=len(self.labels))
-        return np.add.reduceat(self.eigenvalues, self.bounds) / sizes
+        return np.add.reduceat(self.eigenvalues, self.bounds) / self.sizes
 
     @property
     def max_cluster_width(self) -> float:

@@ -310,6 +310,41 @@ class TestEigenbasisEngine:
             return
         assert series_gap(integrate_time_local(gen, order, self.GRID), want) <= 1e-12
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_time_local_mixed_cluster_sizes(self, order):
+        # equally spaced frequencies at m = 2 cluster into blocks of sizes
+        # 1, 2, 3, 4, 6 and 8, integrated as one stack per size
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes(np.linspace(1.0, 2.3, 4)),
+            interaction=random_valid_fermion(4, np.random.default_rng(5)),
+            coupling=0.3,
+        )
+        gen = kappa12(split, 2)
+        sizes = set(gen.partition.sizes.tolist())
+        assert len(sizes) >= 3 and {1, 2, 8} <= sizes
+        got = integrate_time_local(gen, order, self.GRID)
+        assert series_gap(got, frame_rk4(gen, order, self.GRID)) <= 1e-12
+
+    def test_time_local_peak_memory(self):
+        # the degenerate (n, m) = (2, 3) shape of the moments benchmark, at
+        # its 50-step grid: clusters of 8 and 24, the largest stacks there.
+        # Each size's temporaries are freed before the next size, so the
+        # peak stays within a few times the series itself
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.0]),
+            interaction=random_valid_fermion(2, np.random.default_rng(3)),
+            coupling=0.1,
+        )
+        gen = kappa12(split, 3)
+        assert set(gen.partition.sizes.tolist()) == {8, 24}
+        tracemalloc.start()
+        try:
+            series = integrate_time_local(gen, 2, TimeGrid(0.5, 50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sum(v.nbytes for v in series.values)
+
     def test_lazy_guard_passes_when_only_the_bound_fails(self, detuned_split):
         # at coupling 1 on this grid the Frobenius bound fails at some node
         # while the max-abs test holds at every node: no StepTooLarge
@@ -374,7 +409,7 @@ class TestKroneckerFrame:
         eigendecompose = linalg.hermitian_eigendecompose
 
         def spy(M):
-            dims.append(len(M))
+            dims.append(np.shape(M)[-1])
             return eigendecompose(M)
 
         monkeypatch.setattr(linalg, "hermitian_eigendecompose", spy)

@@ -48,6 +48,24 @@ class TestEigendecompose:
         with pytest.raises(NotHermitian):
             linalg.hermitian_eigendecompose(np.array([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 24])
+    def test_stack_matches_one_call_per_matrix(self, rng, dim):
+        stack = np.array([random_hermitian(dim, rng, scale) for scale in (1e-3, 1.0, 50.0)])
+        got = linalg.hermitian_eigendecompose(stack.reshape(3, 1, dim, dim))
+        assert got.basis.shape == (3, 1, dim, dim) and got.dim == dim
+        for b, M in enumerate(stack):
+            want = linalg.hermitian_eigendecompose(M)
+            assert np.array_equal(got.basis[b, 0], want.basis)
+            assert np.array_equal(got.eigenvalues[b, 0], want.eigenvalues)
+
+    def test_stack_hermiticity_checked_per_matrix(self, rng):
+        # a residual of 1e-6 on a unit-size matrix fails its own tolerance,
+        # though it is far below that of a large matrix in the same stack
+        small = random_hermitian(3, rng)
+        small[0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            linalg.hermitian_eigendecompose(np.array([random_hermitian(3, rng, 1e6), small]))
+
 
 class TestMatrixExponential:
     def test_zero(self):
