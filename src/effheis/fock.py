@@ -5,18 +5,21 @@ conjugation of operator products.  Both averages are one resonance mask on a
 four-index tensor in the eigenbasis of the free Fock Hamiltonian H0hat; the
 mask compares the resonance classes (``projector.resonance_labels`` at
 H0hat's gap) of Bohr frequencies e_i - e_j, the spectrum of L0 = [H0hat, .].
+The superoperator projection reaches that eigenbasis by mode products with
+H0hat's eigenvectors V on each index of the (d, d, d, d) view, so the dense
+d^2 x d^2 basis V^* kron V of L0 is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, TooManyModes
-from .fermion import FermionHamiltonian, heisenberg_matrix
+from .fermion import FermionHamiltonian
 from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, resonance_labels, resonance_partition
 
 MAX_MODES = 6
@@ -46,10 +49,26 @@ class FockRep:
         """The 2n-component vector (c_1..c_n, c_1^dag..c_n^dag)."""
         return self.annihilators + self.creators
 
+    @cached_property
+    def operator_stack(self) -> np.ndarray:
+        """``operator_vector`` as one read-only (2n, d, d) array."""
+        ops = np.array(self.operator_vector)
+        ops.setflags(write=False)
+        return ops
+
+    @cached_property
+    def pair_products(self) -> np.ndarray:
+        """Read-only (2n, 2n, d, d) stack of the products c_a c_b."""
+        ops = self.operator_stack
+        pairs = ops[:, None] @ ops[None, :]
+        pairs.setflags(write=False)
+        return pairs
+
 
 @lru_cache(maxsize=None)
 def jordan_wigner(n: int) -> FockRep:
-    """Build fermion operators with the string on modes 1..j-1."""
+    """Build fermion operators with the string on modes 1..j-1.  Cached per
+    n, and with it the rep's operator and pair-product stacks."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_MODES:
@@ -68,13 +87,7 @@ def quadratize(K: FermionHamiltonian, rep: FockRep) -> np.ndarray:
     """Fock-space Hamiltonian (1/2) c^T K c; Hermitian for valid K."""
     if K.n != rep.n:
         raise DimensionMismatch("mode counts differ")
-    ops = rep.operator_vector
-    H = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for a in range(2 * K.n):
-        for b in range(2 * K.n):
-            if K.H[a, b] != 0:
-                H += 0.5 * K.H[a, b] * (ops[a] @ ops[b])
-    return H
+    return 0.5 * np.tensordot(K.H, rep.pair_products, axes=2)
 
 
 def _check_superop_modes(dim: int):
@@ -85,6 +98,17 @@ def _check_superop_modes(dim: int):
         raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
 
 
+def _superop_partition(H0hat, tol: float) -> ResonancePartition:
+    """Resonance partition of H0hat after the superoperator mode cap; H0hat
+    is the matrix or its partition."""
+    if isinstance(H0hat, ResonancePartition):
+        _check_superop_modes(len(H0hat.labels))
+        return H0hat
+    H0hat = linalg.as_matrix(H0hat)
+    _check_superop_modes(H0hat.shape[0])
+    return resonance_partition(H0hat, tol)
+
+
 def _bohr_labels(part: ResonancePartition) -> np.ndarray:
     """label[i, j]: resonance class of the Bohr frequency e_i - e_j, read off
     part.delta = -i(e_i - e_j) at the gap of H0hat's own partition."""
@@ -92,9 +116,11 @@ def _bohr_labels(part: ResonancePartition) -> np.ndarray:
 
 
 def project_superoperator(
-    Phi: np.ndarray, H0hat: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL
+    Phi: np.ndarray, H0hat, tol: float = DEFAULT_RESONANCE_TOL
 ) -> np.ndarray:
-    """Averaging projection of a superoperator given as a dim-4^n matrix.
+    """Averaging projection of a superoperator given as a dim-4^n matrix, or
+    of each one of a stack (..., 4^n, 4^n).  H0hat is the free Fock
+    Hamiltonian or its resonance partition (``tol`` is then unused).
 
     Uses column-stacking vec so that the map Z -> A Z B is (B^T kron A).
     The projection is the long-time average under the Liouvillian
@@ -102,23 +128,23 @@ def project_superoperator(
     (V the eigenbasis of H0hat, vec(V Z V^dag) = W vec Z) with eigenvalue
     e_i - e_j at index i + d j.  So Y = W^dag Phi W keeps its entry from
     input (k, l) to output (i, j) iff the Bohr frequencies e_i - e_j and
-    e_k - e_l share a resonance class.
+    e_k - e_l share a resonance class.  W^dag Phi W and W Y W^dag are each
+    four GEMM-shaped mode products by V on the (d, d, d, d) view of the
+    matrix (``linalg.kron_sandwich``), about 4 d^5 multiply-adds per side
+    against the 2 d^6 of the dense W, which is never formed.
     """
-    H0hat = linalg.as_matrix(H0hat)
-    d = H0hat.shape[0]
-    _check_superop_modes(d)
-    Phi = linalg.as_matrix(Phi)
-    if Phi.shape[0] != d * d:
-        raise DimensionMismatch(f"superoperator dim {Phi.shape[0]} != {d * d}")
-    part = resonance_partition(H0hat, tol)
+    part = _superop_partition(H0hat, tol)
+    d = len(part.labels)
+    Phi = linalg.as_matrix(Phi, stack=True)
+    if Phi.shape[-1] != d * d:
+        raise DimensionMismatch(f"superoperator dim {Phi.shape[-1]} != {d * d}")
     V = part.decomposition.basis
-    W = np.kron(V.conj(), V)
-    # Y[i + d j, k + d l] is Y4[i, j, k, l] in Fortran order
-    Y4 = (W.conj().T @ Phi @ W).reshape((d, d, d, d), order="F")
-    label = _bohr_labels(part)
-    keep = label[:, :, None, None] == label[None, None, :, :]
-    Y = np.where(keep, Y4, 0.0).reshape((d * d, d * d), order="F")
-    return W @ Y @ W.conj().T
+    # W^dag = V^T kron V^dag
+    Y = linalg.kron_sandwich(Phi, V.T, V.conj().T)
+    # the class of vec index i + d j is that of e_i - e_j
+    label = _bohr_labels(part).T.ravel()
+    Y *= label[:, None] == label[None, :]
+    return linalg.kron_sandwich(Y, V.conj(), V)
 
 
 def unitary_conjugation_superoperator(U: np.ndarray) -> np.ndarray:
@@ -128,7 +154,7 @@ def unitary_conjugation_superoperator(U: np.ndarray) -> np.ndarray:
 
 def averaged_unitary_moments(
     Hhat: np.ndarray,
-    H0hat: np.ndarray,
+    H0hat,
     products,
     t: float,
     tol: float = DEFAULT_RESONANCE_TOL,
@@ -143,14 +169,13 @@ def averaged_unitary_moments(
     (M' = V^dag M V, X' = V^dag X V) that is one masked contraction: entry
     (a, d) sums M'_ab X'_bc (M'^dag)_cd over the eigenvector pairs (b, c)
     whose Bohr frequency e_b - e_c shares the resonance class of e_a - e_d.
-    Returns the stack of averages, one per product.
+    H0hat is the free Fock Hamiltonian or its resonance partition (``tol``
+    is then unused).  Returns the stack of averages, one per product.
     """
-    H0hat = linalg.as_matrix(H0hat)
+    part = _superop_partition(H0hat, tol)
     Hhat = linalg.as_matrix(Hhat)
-    _check_superop_modes(H0hat.shape[0])
     X = np.array([linalg.as_matrix(x) for x in products])
     M = linalg.matrix_exponential(1j * t * Hhat)
-    part = resonance_partition(H0hat, tol)
     eig = part.decomposition
     Mp = eig.to_eigenbasis(M)
     # kernel[a, b, c, d] = M'_ab (M'^dag)_cd where e_a - e_d and e_b - e_c share a class
@@ -160,17 +185,19 @@ def averaged_unitary_moments(
     return eig.from_eigenbasis(np.tensordot(eig.to_eigenbasis(X), kernel, axes=([1, 2], [1, 2])))
 
 
-def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t: float) -> float:
-    """Max residual of exp(iHhat t) c_a exp(-iHhat t) = sum_b O(t)_ab c_b."""
+def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t) -> float:
+    """Max residual of exp(iHhat t) c_a exp(-iHhat t) = sum_b O(t)_ab c_b
+    over all 2n operators c_a and every time t, a number or a sequence.
+
+    Hhat and E H are eigendecomposed once each; U(t) = exp(iHhat t) and
+    O(t) = exp(-iEHt) at every t come from their phases, with
+    ``matrix_exponential``'s hermiticity check and ``Overflow`` cap.
+    """
     if H.n != rep.n:
         raise DimensionMismatch("mode counts differ")
-    Hhat = quadratize(H, rep)
-    U = linalg.matrix_exponential(1j * t * Hhat)
-    O = heisenberg_matrix(H, t)
-    ops = rep.operator_vector
-    worst = 0.0
-    for a in range(2 * H.n):
-        lhs = U @ ops[a] @ U.conj().T
-        rhs = sum(O[a, b] * ops[b] for b in range(2 * H.n))
-        worst = max(worst, linalg.max_abs(lhs - rhs))
-    return worst
+    times = np.asarray(t, dtype=float).reshape(-1)
+    U = linalg.unitary_propagators(quadratize(H, rep), times)[:, None]
+    O = linalg.unitary_propagators(H.single_particle_generator(), -times)
+    ops = rep.operator_stack
+    lhs = U @ ops @ U.conj().swapaxes(-1, -2)
+    return linalg.max_abs(lhs - np.tensordot(O, ops, axes=1))

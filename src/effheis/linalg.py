@@ -111,10 +111,30 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
     if max_abs(A) > EXP_NORM_CAP:
         raise Overflow(f"max_abs(A)={max_abs(A):.3e} exceeds cap {EXP_NORM_CAP:.3e}")
     if max_abs(A + A.conj().T) < 1e-10 * (1.0 + max_abs(A)):
-        eig = hermitian_eigendecompose(1j * A)
-        phases = np.exp(-1j * eig.eigenvalues)
-        return (eig.basis * phases) @ eig.basis.conj().T
+        return unitary_propagators(1j * A, -1.0)[0]
     return scipy.linalg.expm(A)
+
+
+def unitary_propagators(M: np.ndarray, times) -> np.ndarray:
+    """exp(i t M) for Hermitian M at every t of ``times``, a stack
+    (len(times), d, d) read off one eigendecomposition of M.
+
+    Raises
+    ------
+    NotHermitian
+        As ``hermitian_eigendecompose``.
+    Overflow
+        If ``|t| * max_abs(M) > EXP_NORM_CAP`` for some t, the cap
+        ``matrix_exponential`` puts on ``max_abs(i t M)``.
+    """
+    M = as_matrix(M)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    norm = float(np.max(np.abs(times), initial=0.0)) * max_abs(M)
+    if norm > EXP_NORM_CAP:
+        raise Overflow(f"max |t| * max_abs(M)={norm:.3e} exceeds cap {EXP_NORM_CAP:.3e}")
+    eig = hermitian_eigendecompose(M)
+    phases = np.exp(1j * np.multiply.outer(times, eig.eigenvalues))
+    return (eig.basis * phases[:, None, :]) @ eig.basis.conj().T
 
 
 def kron_sum(K: np.ndarray, m: int) -> np.ndarray:
@@ -136,6 +156,19 @@ def kron_sum(K: np.ndarray, m: int) -> np.ndarray:
             term = np.kron(term, K if slot == j else eye)
         total += term
     return total
+
+
+def kron_sandwich(Z: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """V Z V^dag for V = A (x) B (numpy's ``kron`` order), Z a matrix or a
+    stack (..., D, D) with D = len(A) len(B); V is never formed.  Each side
+    is two GEMM-shaped mode products, one by A and one by B:
+    (len(A) + len(B)) D^2 multiply-adds per matrix instead of D^3."""
+    na, nb = len(A), len(B)
+    D, batch = na * nb, Z.shape[:-2]
+    Z = (B @ Z.reshape(*batch, na, nb, D)).reshape(*batch, na, nb * D)
+    Z = (A @ Z).reshape(-1, nb)
+    Z = (Z @ B.conj().T).reshape(*batch, D, na, nb)
+    return (A.conj() @ Z).reshape(*batch, D, D)
 
 
 @dataclass(frozen=True)
@@ -185,17 +218,11 @@ class KroneckerEigenDecomposition:
 
     def _sandwich(self, Z: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """V Z V^dag for V = V1^{(x)m} = A (x) B, or V^dag Z V if ``adjoint``,
-        with Z in Kronecker order.  Each side is two GEMM-shaped mode
-        products, one with A and one with B: (k^p + k^(m-p)) d^2 instead of
-        d^3 per side."""
+        with Z in Kronecker order (``kron_sandwich``)."""
         A, B = self._halves
         if adjoint:
             A, B = A.conj().T, B.conj().T
-        d, na, nb = self.dim, len(A), len(B)
-        Z = (B @ Z.reshape(na, nb, d)).reshape(na, nb * d)
-        Z = (A @ Z).reshape(d * na, nb)
-        Z = (Z @ B.conj().T).reshape(d, na, nb)
-        return (A.conj() @ Z).reshape(d, d)
+        return kron_sandwich(Z, A, B)
 
     def to_eigenbasis(self, X: np.ndarray) -> np.ndarray:
         """V0^dag X V0."""

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import effheis as eh
 from effheis import linalg
-from effheis.errors import DimensionMismatch, TooManyModes
+from effheis.errors import DimensionMismatch, Overflow, TooManyModes
 from effheis.fock import (
     averaged_unitary_moments,
     check_heisenberg_reduction,
@@ -12,7 +14,7 @@ from effheis.fock import (
     quadratize,
     unitary_conjugation_superoperator,
 )
-from effheis.projector import project, resonance_partition
+from effheis.projector import project, resonance_labels, resonance_partition
 from effheis.verify import random_complex, random_valid_fermion, run_verification
 
 
@@ -46,7 +48,32 @@ class TestJordanWigner:
         assert jordan_wigner(2) is jordan_wigner(2)
 
 
+def loop_quadratize(K, rep):
+    """Reference: (1/2) sum_ab K_ab c_a c_b, one product per nonzero entry."""
+    ops = rep.operator_vector
+    H = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for a in range(2 * K.n):
+        for b in range(2 * K.n):
+            if K.H[a, b] != 0:
+                H += 0.5 * K.H[a, b] * (ops[a] @ ops[b])
+    return H
+
+
 class TestQuadratize:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_pair_loop(self, rng, n):
+        rep = jordan_wigner(n)
+        for _ in range(3):
+            K = random_valid_fermion(n, rng)
+            Hhat = quadratize(K, rep)
+            assert linalg.max_abs(Hhat - loop_quadratize(K, rep)) <= 1e-14
+            assert linalg.hermiticity_residual(Hhat) <= 1e-14
+
+    def test_pair_products_cached_read_only(self):
+        rep = jordan_wigner(2)
+        assert rep.pair_products is jordan_wigner(2).pair_products
+        assert not rep.pair_products.flags.writeable
+
     def test_number_operator(self):
         Hhat = quadratize(eh.diagonal_modes([1.0]), jordan_wigner(1))
         np.testing.assert_allclose(Hhat, np.diag([-0.5, 0.5]), atol=1e-14)
@@ -60,6 +87,21 @@ class TestQuadratize:
     def test_mode_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             quadratize(eh.diagonal_modes([1.0]), jordan_wigner(2))
+
+
+def dense_project_superoperator(Phi, H0hat, tol=1e-9):
+    """Reference: W^dag Phi W masked, then W Y W^dag, with the dense
+    W = V^* kron V (V the eigenbasis of H0hat) and column-stacking vec."""
+    part = resonance_partition(H0hat, tol)
+    d = len(H0hat)
+    V = part.decomposition.basis
+    W = np.kron(V.conj(), V)
+    # Y[i + d j, k + d l] is Y4[i, j, k, l] in Fortran order
+    Y4 = (W.conj().T @ Phi @ W).reshape((d, d, d, d), order="F")
+    label = resonance_labels(part.delta.imag.ravel(), part.gap).reshape(d, d)
+    keep = label[:, :, None, None] == label[None, None, :, :]
+    Y = np.where(keep, Y4, 0.0).reshape((d * d, d * d), order="F")
+    return W @ Y @ W.conj().T
 
 
 def cluster_projectors(part):
@@ -116,11 +158,11 @@ def finite_time_averaged_conjugation(Hhat, H0hat, X, t, T, steps):
 
 def free_hamiltonians(n, rng):
     """A non-diagonal H0hat (eigenbasis not a permutation) and a degenerate
-    diagonal one (frequencies 1, 1, 2 truncated to n modes)."""
+    diagonal one (frequencies 1, 1, 2, 2 truncated to n modes)."""
     rep = jordan_wigner(n)
     return [
         quadratize(random_valid_fermion(n, rng), rep),
-        quadratize(eh.diagonal_modes([1.0, 1.0, 2.0][:n]), rep),
+        quadratize(eh.diagonal_modes([1.0, 1.0, 2.0, 2.0][:n]), rep),
     ]
 
 
@@ -204,6 +246,24 @@ class TestLiouvillianReference:
 
 
 class TestProjectSuperoperator:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_matches_dense_reference(self, rng, n):
+        d = 2**n
+        for H0hat in free_hamiltonians(n, rng):
+            Phis = np.array([random_complex(d * d, rng) for _ in range(3)])
+            got = project_superoperator(Phis, H0hat)
+            assert got.shape == Phis.shape
+            part = resonance_partition(H0hat)
+            for Phi, average in zip(Phis, got, strict=True):
+                assert linalg.max_abs(average - dense_project_superoperator(Phi, H0hat)) <= 1e-12
+                assert linalg.max_abs(average - project_superoperator(Phi, part)) <= 1e-12
+                if n <= 3:
+                    assert linalg.max_abs(average - loop_project_superoperator(Phi, H0hat)) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            project_superoperator(np.eye(9), np.zeros((2, 2)))
+
     def test_trivial_free_hamiltonian(self, rng):
         Phi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         out = project_superoperator(Phi, np.zeros((2, 2)))
@@ -303,6 +363,25 @@ class TestRunVerification:
         assert result["checks"]["moment_equivalence"]["residual"] <= 1e-8
 
 
+class TestMemory:
+    def test_run_verification_peak(self):
+        # each law sample projects its own stack; stacking every sample at
+        # once would raise this peak
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.7, 2.3]),
+            interaction=random_valid_fermion(3, np.random.default_rng(5)),
+            coupling=0.1,
+        )
+        run_verification(split, 2)
+        tracemalloc.start()
+        try:
+            run_verification(split, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+
 class TestCheckHeisenbergReduction:
     def test_diagonal_hamiltonian(self):
         res = check_heisenberg_reduction(eh.diagonal_modes([1.0, 2.0]), jordan_wigner(2), 0.9)
@@ -316,3 +395,24 @@ class TestCheckHeisenbergReduction:
     def test_mode_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             check_heisenberg_reduction(eh.diagonal_modes([1.0]), jordan_wigner(2), 0.5)
+        with pytest.raises(DimensionMismatch):
+            check_heisenberg_reduction(eh.diagonal_modes([1.0]), jordan_wigner(2), (0.5, 1.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_times_match_scalar_calls(self, rng, n):
+        rep, times = jordan_wigner(n), (0.3, 1.0, 2.5)
+        for _ in range(3):
+            H = random_valid_fermion(n, rng)
+            want = max(check_heisenberg_reduction(H, rep, t) for t in times)
+            assert abs(check_heisenberg_reduction(H, rep, times) - want) <= 1e-15
+
+    def test_overflow_above_cap(self):
+        # three equal modes: max_abs(Hhat) = 1.5 against max_abs(E H) = 1, so
+        # only the Fock-space exponent passes the cap
+        H, rep = eh.diagonal_modes([1.0, 1.0, 1.0]), jordan_wigner(3)
+        t = 1.01 * linalg.EXP_NORM_CAP / linalg.max_abs(quadratize(H, rep))
+        assert t * linalg.max_abs(H.single_particle_generator()) < linalg.EXP_NORM_CAP
+        with pytest.raises(Overflow):
+            check_heisenberg_reduction(H, rep, (0.3, t))
+        with pytest.raises(Overflow):
+            check_heisenberg_reduction(H, rep, -t)

@@ -101,6 +101,39 @@ class TestMatrixExponential:
             linalg.matrix_exponential(1e5 * np.eye(2))
 
 
+class TestUnitaryPropagators:
+    def test_matches_matrix_exponential(self, rng):
+        M = random_hermitian(6, rng)
+        times = (-1.3, 0.0, 0.4, 2.5)
+        got = linalg.unitary_propagators(M, times)
+        assert got.shape == (4, 6, 6)
+        for t, U in zip(times, got, strict=True):
+            assert linalg.max_abs(U - linalg.matrix_exponential(1j * t * M)) < 1e-13
+
+    def test_overflow_cap(self):
+        M = np.diag([2.0, -1.0])
+        linalg.unitary_propagators(M, [0.99 * linalg.EXP_NORM_CAP / 2])
+        with pytest.raises(Overflow):
+            linalg.unitary_propagators(M, [0.1, -1.01 * linalg.EXP_NORM_CAP / 2])
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            linalg.unitary_propagators(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0])
+
+
+class TestKronSandwich:
+    @pytest.mark.parametrize("na, nb", [(1, 3), (2, 3), (4, 4)])
+    def test_matches_dense_kron(self, rng, na, nb):
+        A = rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na))
+        B = rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
+        V = np.kron(A, B)
+        Z = rng.standard_normal((2, 3, na * nb, na * nb)) + 1j * rng.standard_normal((2, 3, na * nb, na * nb))
+        got = linalg.kron_sandwich(Z, A, B)
+        assert got.shape == Z.shape
+        assert linalg.max_abs(got - V @ Z @ V.conj().T) < 1e-12
+        assert linalg.max_abs(linalg.kron_sandwich(Z[1, 2], A, B) - got[1, 2]) < 1e-12
+
+
 class TestKronSum:
     def test_single_slot(self, rng):
         K = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
