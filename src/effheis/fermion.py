@@ -127,9 +127,12 @@ def hopping(n: int, j: int, k: int, g: float) -> FermionHamiltonian:
     return validate_fermion(np.block([[zero, -C], [C, zero]]), n)
 
 
-def heisenberg_matrix(H: FermionHamiltonian, t: float) -> np.ndarray:
-    """Single-particle propagator O(t) = exp(-i E H t); unitary."""
-    return linalg.matrix_exponential(-1j * t * H.single_particle_generator())
+def heisenberg_matrix(H: FermionHamiltonian, t) -> np.ndarray:
+    """Single-particle propagator O(t) = exp(-i E H t); unitary.  For a
+    sequence of times, the stack (len(t), 2n, 2n) of O(t), read off one
+    eigendecomposition of E H (``linalg.unitary_propagators``)."""
+    O = linalg.unitary_propagators(H.single_particle_generator(), -np.asarray(t, dtype=float))
+    return O if np.ndim(t) else O[0]
 
 
 def moment_generator(K: FermionHamiltonian, m: int) -> np.ndarray:

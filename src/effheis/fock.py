@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, TooManyModes
-from .fermion import FermionHamiltonian
+from .fermion import FermionHamiltonian, heisenberg_matrix
 from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, resonance_labels, resonance_partition
 
 MAX_MODES = 6
@@ -98,17 +98,6 @@ def _check_superop_modes(dim: int):
         raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
 
 
-def _superop_partition(H0hat, tol: float) -> ResonancePartition:
-    """Resonance partition of H0hat after the superoperator mode cap; H0hat
-    is the matrix or its partition."""
-    if isinstance(H0hat, ResonancePartition):
-        _check_superop_modes(len(H0hat.labels))
-        return H0hat
-    H0hat = linalg.as_matrix(H0hat)
-    _check_superop_modes(H0hat.shape[0])
-    return resonance_partition(H0hat, tol)
-
-
 def _bohr_labels(part: ResonancePartition) -> np.ndarray:
     """label[i, j]: resonance class of the Bohr frequency e_i - e_j, read off
     part.delta = -i(e_i - e_j) at the gap of H0hat's own partition."""
@@ -133,8 +122,12 @@ def project_superoperator(
     matrix (``linalg.kron_sandwich``), about 4 d^5 multiply-adds per side
     against the 2 d^6 of the dense W, which is never formed.
     """
-    part = _superop_partition(H0hat, tol)
+    if isinstance(H0hat, ResonancePartition):
+        part = H0hat
+    else:
+        part = resonance_partition(linalg.as_matrix(H0hat), tol)
     d = len(part.labels)
+    _check_superop_modes(d)
     Phi = linalg.as_matrix(Phi, stack=True)
     if Phi.shape[-1] != d * d:
         raise DimensionMismatch(f"superoperator dim {Phi.shape[-1]} != {d * d}")
@@ -154,7 +147,7 @@ def unitary_conjugation_superoperator(U: np.ndarray) -> np.ndarray:
 
 def averaged_unitary_moments(
     Hhat: np.ndarray,
-    H0hat,
+    H0hat: np.ndarray,
     products,
     t: float,
     tol: float = DEFAULT_RESONANCE_TOL,
@@ -169,13 +162,14 @@ def averaged_unitary_moments(
     (M' = V^dag M V, X' = V^dag X V) that is one masked contraction: entry
     (a, d) sums M'_ab X'_bc (M'^dag)_cd over the eigenvector pairs (b, c)
     whose Bohr frequency e_b - e_c shares the resonance class of e_a - e_d.
-    H0hat is the free Fock Hamiltonian or its resonance partition (``tol``
-    is then unused).  Returns the stack of averages, one per product.
+    Returns the stack of averages, one per product.
     """
-    part = _superop_partition(H0hat, tol)
+    H0hat = linalg.as_matrix(H0hat)
     Hhat = linalg.as_matrix(Hhat)
+    _check_superop_modes(H0hat.shape[0])
     X = np.array([linalg.as_matrix(x) for x in products])
     M = linalg.matrix_exponential(1j * t * Hhat)
+    part = resonance_partition(H0hat, tol)
     eig = part.decomposition
     Mp = eig.to_eigenbasis(M)
     # kernel[a, b, c, d] = M'_ab (M'^dag)_cd where e_a - e_d and e_b - e_c share a class
@@ -189,15 +183,15 @@ def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t) -> float:
     """Max residual of exp(iHhat t) c_a exp(-iHhat t) = sum_b O(t)_ab c_b
     over all 2n operators c_a and every time t, a number or a sequence.
 
-    Hhat and E H are eigendecomposed once each; U(t) = exp(iHhat t) and
-    O(t) = exp(-iEHt) at every t come from their phases, with
+    Hhat and E H are eigendecomposed once each: U(t) = exp(iHhat t) and
+    O(t) = ``heisenberg_matrix`` at every t come from their phases, with
     ``matrix_exponential``'s hermiticity check and ``Overflow`` cap.
     """
     if H.n != rep.n:
         raise DimensionMismatch("mode counts differ")
     times = np.asarray(t, dtype=float).reshape(-1)
     U = linalg.unitary_propagators(quadratize(H, rep), times)[:, None]
-    O = linalg.unitary_propagators(H.single_particle_generator(), -times)
+    O = heisenberg_matrix(H, times)
     ops = rep.operator_stack
     lhs = U @ ops @ U.conj().swapaxes(-1, -2)
     return linalg.max_abs(lhs - np.tensordot(O, ops, axes=1))

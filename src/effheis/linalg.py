@@ -228,13 +228,13 @@ class KroneckerEigenDecomposition:
         """V0^dag X V0."""
         if self.factor is not None:
             X = self._sandwich(X, adjoint=True)
-        return X[np.ix_(self.order, self.order)]
+        return X[..., self.order[:, None], self.order]
 
     def from_eigenbasis(self, Y: np.ndarray) -> np.ndarray:
         """V0 Y V0^dag: Y scattered into Kronecker order, then the mode
         products by V1 when V1 is not the identity."""
         Z = np.empty_like(Y)
-        Z[np.ix_(self.order, self.order)] = Y
+        Z[..., self.order[:, None], self.order] = Y
         return Z if self.factor is None else self._sandwich(Z)
 
     def from_entries(self, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray) -> np.ndarray:

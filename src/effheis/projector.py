@@ -122,11 +122,12 @@ def resonance_partition(M, tol: float = DEFAULT_RESONANCE_TOL) -> ResonanceParti
 
 
 def project_with(X: np.ndarray, partition: ResonancePartition) -> np.ndarray:
-    """Apply a precomputed resonance partition to X."""
-    X = linalg.as_matrix(X)
+    """Apply a precomputed resonance partition to X, or to each matrix of a
+    stack (..., d, d)."""
+    X = linalg.as_matrix(X, stack=True)
     eig = partition.decomposition
-    if X.shape[0] != eig.dim:
-        raise DimensionMismatch(f"X dim {X.shape[0]} != generator dim {eig.dim}")
+    if X.shape[-1] != eig.dim:
+        raise DimensionMismatch(f"X dim {X.shape[-1]} != generator dim {eig.dim}")
     return partition.project_eig(eig.to_eigenbasis(X))
 
 

@@ -32,6 +32,7 @@ from .perturbation import resonance_frame
 from .projector import (
     DEFAULT_RESONANCE_TOL,
     free_moment_generator_hermitian,
+    project_with,
     resonance_partition,
 )
 
@@ -71,20 +72,15 @@ def matrix_projector_law_residuals(
     in one call; stacking all samples would hold them all at once."""
     M0 = free_moment_generator_hermitian(split, m)
     part = resonance_partition(M0, tol)
-    eig = part.decomposition
     dim = M0.shape[0]
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0, "linearity": 0.0}
     Us = np.array([linalg.matrix_exponential(1j * t * M0) for t in (0.3, 1.7)])  # exp(-h0 t)
     alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
-
-    def project(X: np.ndarray) -> np.ndarray:
-        return part.project_eig(eig.to_eigenbasis(X))
-
     for _ in range(samples):
         X = random_complex(dim, rng)
         Y = random_complex(dim, rng)
-        PX = project(X)
-        P = project(np.stack([PX, *(Us @ X), alpha * X + beta * Y, Y]))
+        PX = project_with(X, part)
+        P = project_with(np.stack([PX, *(Us @ X), alpha * X + beta * Y, Y]), part)
         U_PX = Us @ PX
         for name, r in (
             ("idempotency", P[0] - PX),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import effheis as eh
-from effheis import linalg
+from effheis import fock, linalg
 from effheis.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -137,6 +137,22 @@ class TestHeisenbergMatrix:
         rep = jordan_wigner(2)
         H = random_valid_fermion(2, rng)
         assert check_heisenberg_reduction(H, rep, 0.7) < 1e-10
+
+    def test_times_sequence_is_stack_of_scalar_calls(self, rng):
+        H = random_valid_fermion(2, rng)
+        times = (0.0, 0.4, -1.1, 2.5)
+        got = eh.heisenberg_matrix(H, times)
+        assert got.shape == (len(times), 4, 4)
+        for O, t in zip(got, times):
+            assert linalg.max_abs(O - eh.heisenberg_matrix(H, t)) <= 1e-15
+
+    def test_fock_oracle_sees_heisenberg_matrix(self, rng, monkeypatch):
+        """The oracle checks the library's O(t): a sign slip in it shows."""
+        rep = jordan_wigner(2)
+        H = random_valid_fermion(2, rng)
+        monkeypatch.setattr(fock, "heisenberg_matrix",
+                            lambda H, t: eh.heisenberg_matrix(H, -np.asarray(t)))
+        assert check_heisenberg_reduction(H, rep, (0.3, 0.7)) > 1e-3
 
 
 class TestMomentGenerator:

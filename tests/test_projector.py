@@ -170,6 +170,20 @@ class TestProject:
         with pytest.raises(DimensionMismatch):
             project(np.eye(3), np.diag([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("kind", ["dense", "diagonal kronecker", "kronecker"])
+    def test_stack_matches_one_call_per_matrix(self, rng, kind):
+        base = random_valid_fermion(2, rng) if kind == "kronecker" else eh.diagonal_modes([1.0, 2.0])
+        split = SplitHamiltonian(base=base, interaction=random_valid_fermion(2, rng), coupling=0.1)
+        if kind == "dense":
+            part = resonance_partition(free_moment_generator_hermitian(split, 2))
+        else:
+            part = free_moment_partition(split, 2)
+        Xs = rng.standard_normal((2, 3, 16, 16)) + 1j * rng.standard_normal((2, 3, 16, 16))
+        want = np.array([[project_with(X, part) for X in row] for row in Xs])
+        assert linalg.max_abs(project_with(Xs, part) - want) == 0.0
+        with pytest.raises(DimensionMismatch):
+            project_with(Xs[..., :8, :8], part)
+
     def test_projector_laws(self, rng):
         M = np.diag([1.0, 1.0, 2.0, 3.5])
         part = resonance_partition(M, 1e-9)
