@@ -10,6 +10,7 @@ Hermitian and generates the single-quasiparticle (Heisenberg) dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,13 +26,17 @@ from .errors import (
 VALIDATION_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def exchange_matrix(n: int) -> np.ndarray:
-    """Block exchange matrix E = [[0, I_n], [I_n, 0]]; E @ E = I."""
+    """Block exchange matrix E = [[0, I_n], [I_n, 0]]; E @ E = I.  Cached
+    per n and read-only."""
     if n < 1:
         raise ValueError("n must be >= 1")
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
-    return np.block([[zero, eye], [eye, zero]])
+    E = np.block([[zero, eye], [eye, zero]])
+    E.setflags(write=False)
+    return E
 
 
 def tilde_conjugate(K: np.ndarray, n: int) -> np.ndarray:

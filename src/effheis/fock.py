@@ -1,13 +1,15 @@
 """Brute-force ground truth on the full 2^n-dimensional Fock space:
 Jordan-Wigner fermion operators, quadratic-form Hamiltonians, the
 superoperator-level averaging projection, and the exactly averaged unitary
-conjugation of operator products.  Both averages are one resonance mask on a
-four-index tensor in the eigenbasis of the free Fock Hamiltonian H0hat; the
-mask compares the resonance classes (``projector.resonance_labels`` at
-H0hat's gap) of Bohr frequencies e_i - e_j, the spectrum of L0 = [H0hat, .].
-The superoperator projection reaches that eigenbasis by mode products with
-H0hat's eigenvectors V on each index of the (d, d, d, d) view, so the dense
-d^2 x d^2 basis V^* kron V of L0 is never formed.
+conjugation of operator products.  There is one Fock-side average,
+``project_superoperator``: a resonance mask on the four-index tensor of a
+superoperator in the eigenbasis of the free Fock Hamiltonian H0hat, which
+compares the resonance classes (``projector.resonance_labels`` at H0hat's
+gap) of Bohr frequencies e_i - e_j, the spectrum of L0 = [H0hat, .].  It
+reaches that eigenbasis by mode products with H0hat's eigenvectors V on each
+index of the (d, d, d, d) view, so the dense d^2 x d^2 basis V^* kron V of
+L0 is never formed.  ``averaged_unitary_moments`` applies that average to
+the conjugation superoperator of exp(i Hhat t).
 """
 
 from __future__ import annotations
@@ -98,12 +100,6 @@ def _check_superop_modes(dim: int):
         raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
 
 
-def _bohr_labels(part: ResonancePartition) -> np.ndarray:
-    """label[i, j]: resonance class of the Bohr frequency e_i - e_j, read off
-    part.delta = -i(e_i - e_j) at the gap of H0hat's own partition."""
-    return resonance_labels(part.delta.imag.ravel(), part.gap).reshape(part.delta.shape)
-
-
 def project_superoperator(
     Phi: np.ndarray, H0hat, tol: float = DEFAULT_RESONANCE_TOL
 ) -> np.ndarray:
@@ -134,8 +130,9 @@ def project_superoperator(
     V = part.decomposition.basis
     # W^dag = V^T kron V^dag
     Y = linalg.kron_sandwich(Phi, V.T, V.conj().T)
-    # the class of vec index i + d j is that of e_i - e_j
-    label = _bohr_labels(part).T.ravel()
+    # the class of vec index i + d j is that of the Bohr frequency e_i - e_j,
+    # read off part.delta = -i(e_i - e_j) at the gap of H0hat's own partition
+    label = resonance_labels(part.delta.imag.T.ravel(), part.gap)
     Y *= label[:, None] == label[None, :]
     return linalg.kron_sandwich(Y, V.conj(), V)
 
@@ -156,27 +153,18 @@ def averaged_unitary_moments(
     each operator product X = X_1 ... X_m in ``products``, where
     M(s) = exp(i Hhat(s) t) is exp(i Hhat t) in the frame shifted by s.
 
-    Evaluated exactly by Bohr-frequency decomposition: X -> M X M^dag with
-    M = exp(i Hhat t) is the superoperator M^* kron M, and its average is
-    ``project_superoperator``'s.  In the eigenbasis of H0hat
-    (M' = V^dag M V, X' = V^dag X V) that is one masked contraction: entry
-    (a, d) sums M'_ab X'_bc (M'^dag)_cd over the eigenvector pairs (b, c)
-    whose Bohr frequency e_b - e_c shares the resonance class of e_a - e_d.
-    Returns the stack of averages, one per product.
+    X -> M X M^dag with M = exp(i Hhat t) is the superoperator M^* kron M,
+    so its average is ``project_superoperator``'s, applied to the
+    column-stacked products.  Returns the stack of averages, one per product.
     """
     H0hat = linalg.as_matrix(H0hat)
-    Hhat = linalg.as_matrix(Hhat)
     _check_superop_modes(H0hat.shape[0])
     X = np.array([linalg.as_matrix(x) for x in products])
-    M = linalg.matrix_exponential(1j * t * Hhat)
-    part = resonance_partition(H0hat, tol)
-    eig = part.decomposition
-    Mp = eig.to_eigenbasis(M)
-    # kernel[a, b, c, d] = M'_ab (M'^dag)_cd where e_a - e_d and e_b - e_c share a class
-    label = _bohr_labels(part)
-    kernel = np.where(label[:, None, None, :] == label[None, :, :, None],
-                      Mp[:, :, None, None] * Mp.conj().T[None, None, :, :], 0.0)
-    return eig.from_eigenbasis(np.tensordot(eig.to_eigenbasis(X), kernel, axes=([1, 2], [1, 2])))
+    M = linalg.matrix_exponential(1j * t * linalg.as_matrix(Hhat))
+    PPhi = project_superoperator(unitary_conjugation_superoperator(M), H0hat, tol)
+    # column-stacking vec: vec X is X^T raveled, and vec Y = PPhi vec X
+    vecX = X.swapaxes(-1, -2).reshape(len(X), -1)
+    return (vecX @ PPhi.T).reshape(X.shape).swapaxes(-1, -2)
 
 
 def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t) -> float:

@@ -6,8 +6,6 @@ applied by the caller.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import linalg
@@ -31,7 +29,8 @@ from .fock import (
 from .perturbation import resonance_frame
 from .projector import (
     DEFAULT_RESONANCE_TOL,
-    free_moment_generator_hermitian,
+    ResonancePartition,
+    free_moment_partition,
     project_with,
     resonance_partition,
 )
@@ -63,18 +62,27 @@ def heisenberg_reduction_residual(split: SplitHamiltonian, rng: np.random.Genera
     )
 
 
+def _free_evolutions(part: ResonancePartition) -> np.ndarray:
+    """The law checks' free evolutions exp(i t M) at t = 0.3 and 1.7, M the
+    Hermitian generator that ``part`` partitions, read off the
+    eigendecomposition it already holds: V diag(e^{i t lam}) V^dag."""
+    phases = np.exp(1j * np.multiply.outer((0.3, 1.7), part.eigenvalues))
+    return part.decomposition.from_eigenbasis(phases[:, :, None] * np.eye(phases.shape[1]))
+
+
 def matrix_projector_law_residuals(
     split: SplitHamiltonian, m: int, rng: np.random.Generator,
     samples: int = 20, tol: float = DEFAULT_RESONANCE_TOL,
 ) -> dict:
-    """Idempotency, commutation with free evolution, pulling, linearity.
-    Each sample projects the stack [PX, U_1 X, U_2 X, alpha X + beta Y, Y]
-    in one call; stacking all samples would hold them all at once."""
-    M0 = free_moment_generator_hermitian(split, m)
-    part = resonance_partition(M0, tol)
-    dim = M0.shape[0]
+    """Idempotency, commutation with free evolution, pulling, linearity, in
+    the Kronecker-factored frame of the moment path
+    (``free_moment_partition``).  Each sample projects the stack
+    [PX, U_1 X, U_2 X, alpha X + beta Y, Y] in one call; stacking all
+    samples would hold them all at once."""
+    part = free_moment_partition(split, m, tol)
+    dim = part.decomposition.dim
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0, "linearity": 0.0}
-    Us = np.array([linalg.matrix_exponential(1j * t * M0) for t in (0.3, 1.7)])  # exp(-h0 t)
+    Us = _free_evolutions(part)  # exp(-h0 t)
     alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
     for _ in range(samples):
         X = random_complex(dim, rng)
@@ -96,17 +104,15 @@ def superoperator_law_residuals(
     split: SplitHamiltonian, rng: np.random.Generator, samples: int = 10
 ) -> dict:
     """Fock-level projection laws on random superoperators.  H0hat is
-    partitioned once; each sample takes two projections, P(Phi) and then
+    partitioned once, and U(t) = exp(i t H0hat) is read off that partition;
+    each sample takes two projections, P(Phi) and then
     P([P Phi, F_1 Phi, F_2 Phi]) as one stack."""
     rep = jordan_wigner(split.n)
     H0hat = quadratize(split.base, rep)
     part = resonance_partition(H0hat)
     d = rep.dim
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0}
-    Fs = np.array([
-        unitary_conjugation_superoperator(linalg.matrix_exponential(1j * t * H0hat))
-        for t in (0.3, 1.7)
-    ])
+    Fs = np.array([unitary_conjugation_superoperator(U) for U in _free_evolutions(part)])
     for _ in range(samples):
         Phi = random_complex(d * d, rng)
         PPhi = project_superoperator(Phi, part)
@@ -121,15 +127,12 @@ def superoperator_law_residuals(
     return res
 
 
-def operator_products(rep, m: int) -> list:
-    """Fock matrices of c_{j1} ... c_{jm} for every multi-index, kron order."""
-    ops = rep.operator_vector
-    products = []
-    for multi in itertools.product(range(len(ops)), repeat=m):
-        prod = np.eye(rep.dim, dtype=complex)
-        for j in multi:
-            prod = prod @ ops[j]
-        products.append(prod)
+def operator_products(rep, m: int) -> np.ndarray:
+    """Stack of the Fock matrices of c_{j1} ... c_{jm} for every
+    multi-index, kron order: each factor multiplies the whole stack at once."""
+    products = rep.operator_stack
+    for _ in range(m - 1):
+        products = (products[:, None] @ rep.operator_stack).reshape(-1, rep.dim, rep.dim)
     return products
 
 
@@ -142,7 +145,7 @@ def moment_equivalence_residual(
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
     W = exact_series(split, m, TimeGrid(t, 1), tol).values[-1]
-    products = np.array(operator_products(rep, m))
+    products = operator_products(rep, m)
     oracle = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
     approx = np.tensordot(W, products, axes=1)
     return linalg.max_abs(oracle - approx)

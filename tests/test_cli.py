@@ -222,6 +222,14 @@ class TestVerify:
         code, _ = run(tmp_path, "verify", "--config", cfg)
         assert code == 2
 
+    def test_past_exponential_cap_exits_1(self, tmp_path, capsys):
+        # max_abs(i Hhat t) = 12500 at t = 1 exceeds the exponential's cap
+        cfg_data = dict(BASE, n=1, H0={"frequencies": [25000.0]}, HI={"frequencies": [0.3]})
+        code, report = run(tmp_path, "verify", "--config", write_config(tmp_path, cfg_data))
+        assert code == 1
+        assert report is None
+        assert "Overflow" in capsys.readouterr().err
+
     def test_unreachable_tolerance_exits_4(self, tmp_path):
         cfg_data = dict(BASE)
         cfg_data["tolerances"] = {"resonance": 1e-9, "report": 1e-16}

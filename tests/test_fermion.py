@@ -26,6 +26,11 @@ class TestExchangeMatrix:
         E = exchange_matrix(2)
         assert np.array_equal(E, E.T)
 
+    def test_cached_read_only(self):
+        E = exchange_matrix(3)
+        assert exchange_matrix(3) is E
+        assert not E.flags.writeable
+
 
 class TestTildeConjugate:
     def test_identity(self):

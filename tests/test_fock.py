@@ -14,8 +14,19 @@ from effheis.fock import (
     quadratize,
     unitary_conjugation_superoperator,
 )
-from effheis.projector import project, resonance_labels, resonance_partition
-from effheis.verify import random_complex, random_valid_fermion, run_verification
+from effheis.projector import (
+    free_moment_partition,
+    project,
+    resonance_labels,
+    resonance_partition,
+)
+from effheis.verify import (
+    matrix_projector_law_residuals,
+    operator_products,
+    random_complex,
+    random_valid_fermion,
+    run_verification,
+)
 
 
 class TestJordanWigner:
@@ -139,6 +150,22 @@ def loop_averaged_conjugation(Hhat, H0hat, X, t, tol=1e-9):
                     if abs((e[a] - e[b]) + (e[c] - e[d_])) <= part.gap:
                         out += left @ X @ (Pc @ M.conj().T @ Pd)
     return out
+
+
+def kernel_averaged_unitary_moments(Hhat, H0hat, products, t, tol=1e-9):
+    """Reference: one masked four-index contraction in the eigenbasis of
+    H0hat.  Entry (a, d) of the average sums M'_ab X'_bc (M'^dag)_cd over the
+    pairs (b, c) whose Bohr frequency e_b - e_c shares the resonance class of
+    e_a - e_d, with M' = V^dag exp(i Hhat t) V and X' = V^dag X V."""
+    M = linalg.matrix_exponential(1j * t * Hhat)
+    part = resonance_partition(H0hat, tol)
+    eig = part.decomposition
+    Mp = eig.to_eigenbasis(M)
+    label = resonance_labels(part.delta.imag.ravel(), part.gap).reshape(part.delta.shape)
+    kernel = np.where(label[:, None, None, :] == label[None, :, :, None],
+                      Mp[:, :, None, None] * Mp.conj().T[None, None, :, :], 0.0)
+    X = np.array(products)
+    return eig.from_eigenbasis(np.tensordot(eig.to_eigenbasis(X), kernel, axes=([1, 2], [1, 2])))
 
 
 def finite_time_averaged_conjugation(Hhat, H0hat, X, t, T, steps):
@@ -329,6 +356,22 @@ class TestAveragedUnitaryMoments:
 
         assert moment_equivalence_residual(offres_split, 2, 0.9) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_kernel_reference(self, rng, n):
+        d = 2**n
+        Hhat = quadratize(random_valid_fermion(n, rng), jordan_wigner(n))
+        for H0hat in free_hamiltonians(n, rng):
+            products = [random_complex(d, rng) for _ in range(3)]
+            got = averaged_unitary_moments(Hhat, H0hat, products, 0.7)
+            want = kernel_averaged_unitary_moments(Hhat, H0hat, products, 0.7)
+            assert linalg.max_abs(got - want) <= 1e-13
+
+    def test_dimension_mismatch(self, rng):
+        Hhat = quadratize(random_valid_fermion(2, rng), jordan_wigner(2))
+        H0hat = quadratize(eh.diagonal_modes([1.0, 2.0, 3.0]), jordan_wigner(3))
+        with pytest.raises(DimensionMismatch):
+            averaged_unitary_moments(Hhat, H0hat, [np.eye(4)], 0.5)
+
     def test_numeric_flag_agrees_roughly(self, rng):
         H = random_valid_fermion(2, rng)
         H0 = eh.diagonal_modes([1.0, 2.0])
@@ -361,6 +404,85 @@ class TestRunVerification:
         )
         result = run_verification(split, m, resonance_tol=1e-4)
         assert result["checks"]["moment_equivalence"]["residual"] <= 1e-8
+
+
+class TestOperatorProducts:
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 3)])
+    def test_matches_loop(self, n, m):
+        rep = jordan_wigner(n)
+        ops = rep.operator_vector
+        want = []
+        for multi in np.ndindex(*(len(ops),) * m):
+            prod = np.eye(rep.dim, dtype=complex)
+            for j in multi:
+                prod = prod @ ops[j]
+            want.append(prod)
+        np.testing.assert_array_equal(operator_products(rep, m), want)
+
+
+def law_splits(n):
+    """A split whose E H0 is not diagonal (hopping in H0, V1 != I) and one
+    with degenerate diagonal H0 (frequencies 1, 1, 2, 2 truncated)."""
+    rng = np.random.default_rng(n)
+    rotated = eh.validate_fermion(
+        eh.diagonal_modes([1.0, 1.3, 1.9, 2.6][:n]).H + eh.hopping(n, 1, 2, 0.3).H, n
+    )
+    degenerate = eh.diagonal_modes([1.0, 1.0, 2.0, 2.0][:n])
+    return [eh.SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
+            for base in (rotated, degenerate)]
+
+
+class TestMatrixLawsOnFactoredFrame:
+    @pytest.mark.parametrize("n, m", [(4, 2), (2, 3)])
+    def test_no_dense_frame(self, monkeypatch, rng, n, m):
+        # the laws run in the moment path's Kronecker-factored frame: the
+        # only eigendecomposition is of the 2n x 2n E H0, and the free
+        # evolutions come from its phases, not from matrix exponentials
+        eigh_dims, expm_calls = [], []
+        eigh = np.linalg.eigh
+        expm = linalg.matrix_exponential
+
+        def spy_eigh(A):
+            eigh_dims.append(A.shape[-1])
+            return eigh(A)
+
+        def spy_expm(A):
+            expm_calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(linalg, "matrix_exponential", spy_expm)
+        for split, rotated in zip(law_splits(n), (True, False), strict=True):
+            assert (free_moment_partition(split, m).decomposition.factor is not None) == rotated
+            eigh_dims.clear()
+            res = matrix_projector_law_residuals(split, m, rng, samples=5)
+            assert max(res.values()) <= 1e-12, res
+            assert eigh_dims == ([2 * n] if rotated else [])
+            assert expm_calls == []
+
+
+class TestLargeFrequencies:
+    """The law checks read their free evolutions off eigendecompositions, so
+    only the moment-equivalence exponential exp(i Hhat t) at t = 1 caps
+    max_abs(Hhat), which is about half the frequency sum."""
+
+    @pytest.mark.parametrize("omega, m", [([3000.0, 3001.0], 2), ([6000.0, 6001.0], 1),
+                                          ([6000.0, 6001.0], 2)])
+    def test_verifies(self, omega, m):
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes(omega), interaction=eh.hopping(2, 1, 2, 0.1), coupling=0.1
+        )
+        result = run_verification(split, m)
+        assert result["all_pass"], result["checks"]
+        assert max(c["residual"] for c in result["checks"].values()) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_overflow_past_exponential_cap(self, m):
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([25000.0]), interaction=eh.diagonal_modes([0.3]), coupling=0.1
+        )
+        with pytest.raises(Overflow):
+            run_verification(split, m)
 
 
 class TestMemory:
