@@ -15,11 +15,12 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
 from .boson import divergence_demo, stability_check
-from .config import ModelConfig, decode_matrix, encode_matrix, load_config
+from .config import ModelConfig, decode_matrix, load_config
 from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, order_estimate
 from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
 from .perturbation import kappa12
@@ -34,12 +35,46 @@ EXIT_EXPECTATION = 5
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _encode(report, 0)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _encode(obj, level: int) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, read as
+    nested at ``level``, with an ndarray encoded as its ``tolist()``.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one float at a
+    time; a finite float64 array instead fills a cached ``%r`` template of
+    its nested-list layout.  ``%r`` of a float is ``float.__repr__``, what
+    ``json`` writes; bool, int and non-finite arrays take the generic path,
+    which writes ``true`` and ``NaN`` where ``%r`` would not.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            return _array_template(obj.shape, level) % tuple(obj.ravel().tolist())
+        return _encode(obj.tolist(), level)
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = [json.dumps(key) + ": " + _encode(obj[key], level + 1) for key in sorted(obj)]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + pad + ("," + pad).join([_encode(x, level + 1) for x in obj]) + pad[:-2] + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad[:-2])
+
+
+@lru_cache(maxsize=64)
+def _array_template(shape: tuple, level: int) -> str:
+    """The layout ``json`` gives a nested list of ``shape`` at ``level``,
+    with ``%r`` for each float."""
+    if not shape:
+        return "%r"
+    pad = "\n" + "  " * (level + 1)
+    inner = _array_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + pad[:-2] + "]"
 
 
 def _report(command: str, cfg: ModelConfig, payload: dict, t0: float) -> dict:
@@ -51,22 +86,22 @@ def _report(command: str, cfg: ModelConfig, payload: dict, t0: float) -> dict:
     }
 
 
-def _write_series_csv(path: str, series) -> None:
-    dim = series.values[0].shape[0]
+def _write_series_csv(path: str, times: np.ndarray, values: np.ndarray) -> None:
+    """One row per time: t, then the (d, d, 2) [re, im] entries row-major."""
+    dim = values.shape[1]
     header = ["t"] + [f"{part}_{a}_{b}" for a in range(dim) for b in range(dim) for part in ("re", "im")]
-    lines = [",".join(header)]
-    for t, M in zip(series.grid.times.tolist(), series.values):
-        row = np.stack([M.real, M.imag], -1).ravel().tolist()
-        lines.append(",".join(map(repr, [t, *row])))
+    table = np.column_stack([times, values.reshape(len(times), -1)])
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _series_payload(series) -> dict:
+    V = np.asarray(series.values)
     return {
         "label": series.label,
-        "times": [float(t) for t in series.grid.times],
-        "values": [encode_matrix(M) for M in series.values],
+        "times": series.grid.times,
+        "values": np.stack([V.real, V.imag], -1),
     }
 
 
@@ -94,11 +129,10 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
     else:
         series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), args.order, grid)
         comparison = {"sup_error_vs_exact": compare(exact, series)["sup_error"]}
+    payload = {"series": _series_payload(series), **comparison}
     csv_path = args.csv or (args.out + ".csv" if args.out else None)
     if csv_path:
-        _write_series_csv(csv_path, series)
-    payload = {"series": _series_payload(series), **comparison}
-    if csv_path:
+        _write_series_csv(csv_path, payload["series"]["times"], payload["series"]["values"])
         payload["csv_path"] = csv_path
     return payload, EXIT_OK
 
@@ -170,6 +204,7 @@ def _order(text: str):
     return int(text) if text.isdigit() else text
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effheis", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))

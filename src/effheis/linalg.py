@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionOverflow, NotHermitian, Overflow
 
@@ -112,6 +111,8 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
         raise Overflow(f"max_abs(A)={max_abs(A):.3e} exceeds cap {EXP_NORM_CAP:.3e}")
     if max_abs(A + A.conj().T) < 1e-10 * (1.0 + max_abs(A)):
         return unitary_propagators(1j * A, -1.0)[0]
+    import scipy.linalg  # only this branch needs it, and it takes longer to import than numpy
+
     return scipy.linalg.expm(A)
 
 

@@ -1,9 +1,14 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from effheis import cli
 from effheis.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -359,3 +364,81 @@ class TestDeterminism:
         assert json.dumps(a["payload"], sort_keys=True) == json.dumps(
             b["payload"], sort_keys=True
         )
+
+
+def to_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: to_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_lists(x) for x in obj]
+    return obj
+
+
+# -0.0, the smallest subnormal, a subnormal, the largest magnitudes, and the
+# non-finite values json writes as NaN / Infinity
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-310, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
+ARRAYS = (
+    hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False))
+    | hnp.arrays(np.float64, SHAPES, elements=FLOATS)
+    | hnp.arrays(np.int64, SHAPES)
+    | hnp.arrays(np.bool_, SHAPES)
+)
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text() | ARRAYS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestReportEncoding:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(JSON_LIKE)
+    @example({"values": np.array([[-0.0, 5e-324], [1e-310, 1e308]]), "empty": np.zeros((2, 0))})
+    @example([np.array([1.0, float("nan")]), np.array([-np.inf, np.inf]), np.array(2.5)])
+    @example({"ints": np.arange(3), "bools": np.array([True, False]), "": [{}, [], None]})
+    def test_matches_json_dumps(self, obj):
+        assert cli._encode(obj, 0) == json.dumps(to_lists(obj), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("order", ["exact", "2"])
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            name for name in os.listdir(CONFIGS)
+            if "boson" not in json.loads(Path(config_path(name)).read_text())
+        ),
+    )
+    def test_evolve_report_and_csv(self, tmp_path, name, order):
+        csv_path = tmp_path / "series.csv"
+        code, report = run(
+            tmp_path, "evolve", "--config", config_path(name), "--order", order,
+            "--csv", str(csv_path),
+        )
+        assert code == 0
+        text = (tmp_path / "report.json").read_text()
+        # json writes floats as repr, which round-trips, so re-encoding the
+        # parsed report must give back the same bytes on any platform
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        series = report["payload"]["series"]
+        rows = [[float(x) for x in line.split(",")] for line in csv_path.read_text().splitlines()[1:]]
+        assert rows == [[t, *np.ravel(V).tolist()] for t, V in zip(series["times"], series["values"])]
+
+
+class TestParserReuse:
+    def test_consecutive_calls_see_their_own_arguments(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(cfg, args):
+            seen.append((args.order, args.seed))
+            return {}, 0
+
+        monkeypatch.setitem(cli.COMMANDS, "validate", spy)
+        two_mode = config_path("two_mode.json")
+        run(tmp_path, "validate", "--config", two_mode, "--order", "1", "--seed", "3")
+        run(tmp_path, "validate", "--config", two_mode, "--order", "exact")
+        run(tmp_path, "validate", "--config", two_mode)
+        assert seen == [(1, 3), ("exact", None), (2, None)]
+        assert cli.build_parser() is cli.build_parser()

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import effheis
 from effheis import linalg
 from effheis.errors import DimensionOverflow, NotHermitian, Overflow
 
@@ -154,3 +159,35 @@ class TestKronSum:
     def test_dimension_cap(self):
         with pytest.raises(DimensionOverflow):
             linalg.kron_sum(np.eye(17), 3)
+
+
+class TestLazyScipy:
+    # in a fresh interpreter: what this test process imported says nothing
+    SCRIPT = """
+import sys
+import numpy as np
+import effheis as eh
+seen = ["scipy.linalg" in sys.modules]
+split = eh.SplitHamiltonian(
+    base=eh.diagonal_modes([1.0, 2.0]), interaction=eh.hopping(2, 1, 2, 1.0), coupling=0.1
+)
+grid = eh.TimeGrid(t_end=1.0, steps=10)
+exact = eh.exact_series(split, 1, grid, 1e-9)
+eh.compare(exact, eh.integrate_time_local(eh.kappa12(split, 1, 1e-9), 2, grid))
+seen.append("scipy.linalg" in sys.modules)
+H0 = eh.validate_boson(np.array([[1.0, 1.0], [1.0, 1.0]]), 1)
+eh.divergence_demo(H0, np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 5.0])
+seen.append("scipy.linalg" in sys.modules)
+print(seen)
+"""
+
+    def test_loaded_only_by_non_unitary_exponential(self):
+        src = os.path.dirname(os.path.dirname(effheis.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        # import and the moment path: no; the defective boson generator's
+        # block exponential is not anti-Hermitian, so it reaches expm
+        assert out.strip() == "[False, False, True]"
