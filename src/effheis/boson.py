@@ -41,12 +41,12 @@ class BosonHamiltonian:
     H: np.ndarray
 
 
-def validate_boson(H: np.ndarray, n: int, tol: float = VALIDATION_TOL) -> BosonHamiltonian:
+def validate_boson(H: np.ndarray, n: int) -> BosonHamiltonian:
     H = linalg.as_matrix(H)
     if H.shape[0] != 2 * n:
         raise DimensionMismatch(f"expected dim {2 * n}, got {H.shape[0]}")
-    check_worst_entry(H - H.T, "(H - H^T)", tol, NotSymmetric)
-    check_worst_entry(H - tilde_conjugate(H, n), "(H - tilde(H))", tol, NotTildeSymmetric)
+    check_worst_entry(H - H.T, "(H - H^T)", VALIDATION_TOL, NotSymmetric)
+    check_worst_entry(H - tilde_conjugate(H, n), "(H - tilde(H))", VALIDATION_TOL, NotTildeSymmetric)
     return BosonHamiltonian(n=n, H=H)
 
 
@@ -57,10 +57,9 @@ class StabilityReport:
     eigenvalues: np.ndarray
     max_imag: float
     classification: str
-    tolerance: float
 
 
-def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> StabilityReport:
+def stability_check(H0: BosonHamiltonian) -> StabilityReport:
     """Classify the symplectic generator H0 @ J as stable or unstable.
 
     Non-real eigenvalues make the free evolution hyperbolic, and a real but
@@ -68,8 +67,8 @@ def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> Stabili
     both cases the long-time average underlying the fermionic construction
     does not exist.  A real spectrum counts as diagonalizable when the
     minimal-polynomial residual prod_k (G - mu_k I) / scale, over the
-    distinct eigenvalues mu_k (clustered by ``resonance_partition`` at tol),
-    is at most tol in max-abs.
+    distinct eigenvalues mu_k (clustered by ``resonance_partition`` at
+    STABILITY_TOL), is at most STABILITY_TOL in max-abs.
     """
     gen = H0.H @ symplectic_matrix(H0.n)
     eigs = np.linalg.eigvals(gen)
@@ -77,15 +76,14 @@ def stability_check(H0: BosonHamiltonian, tol: float = STABILITY_TOL) -> Stabili
     eigs = eigs[order]
     max_imag = float(np.max(np.abs(eigs.imag))) if len(eigs) else 0.0
     scale = 1.0 + (float(np.max(np.abs(eigs))) if len(eigs) else 0.0)
-    stable = max_imag <= tol * scale
+    stable = max_imag <= STABILITY_TOL * scale
     if stable:
         residual = np.eye(len(gen))
-        for mu in resonance_partition(np.diag(eigs.real), tol).cluster_values:
+        for mu in resonance_partition(np.diag(eigs.real), STABILITY_TOL).cluster_values:
             residual = residual @ (gen - mu * np.eye(len(gen))) / scale
-        stable = linalg.max_abs(residual) <= tol
+        stable = linalg.max_abs(residual) <= STABILITY_TOL
     return StabilityReport(
-        eigenvalues=eigs, max_imag=max_imag,
-        classification="stable" if stable else "unstable", tolerance=tol,
+        eigenvalues=eigs, max_imag=max_imag, classification="stable" if stable else "unstable"
     )
 
 

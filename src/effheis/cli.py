@@ -24,7 +24,7 @@ from .config import ModelConfig, decode_matrix, load_config
 from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, order_estimate
 from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
 from .perturbation import kappa12
-from .verify import DEFAULT_THRESHOLDS, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -139,12 +139,9 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
 
 def cmd_verify(cfg: ModelConfig, args) -> tuple[dict, int]:
     split = cfg.split()
-    thresholds = (
-        None if cfg.report_tol is None else dict.fromkeys(DEFAULT_THRESHOLDS, cfg.report_tol)
-    )
     seed = cfg.seed if args.seed is None else args.seed
     result = run_verification(
-        split, cfg.m, seed=seed, resonance_tol=cfg.resonance_tol, thresholds=thresholds
+        split, cfg.m, seed=seed, resonance_tol=cfg.resonance_tol, report_tol=cfg.report_tol
     )
     return result, EXIT_OK if result["all_pass"] else EXIT_VERIFICATION
 

@@ -27,8 +27,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -72,7 +72,7 @@ def exact_series(
     entries = 1.0
     for a, c in zip(frame.digits(rows), frame.digits(cols)):
         entries = entries * B[:, a, c]
-    values = [frame.from_entries(rows, cols, e) for e in entries]
+    values = [partition.to_original(e) for e in entries]
     return PropagatorSeries(grid=grid, values=values, label="exact")
 
 
@@ -150,12 +150,11 @@ def integrate_time_local(
     eigendecomposition, the rotation of kappa2 into l1's eigenbasis covers
     all nodes at once, RK4 runs on the stack, and exp(l1 t) Phi =
     W e^{-iwt} Phi W^dag is formed at all grid points at once.  Its entries
-    go to the original basis through ``from_entries``.
+    go to the original basis through ``partition.to_original``.
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
     part, c = gen.partition, gen.coupling
-    frame = part.decomposition
     times, dt = grid.times, grid.dt
     if order == 2:
         # every grid point and interval midpoint, in time order, in one call
@@ -168,7 +167,7 @@ def integrate_time_local(
         # original-basis test runs only at the nodes where the bound fails
         # (vecdot, unlike norm, makes no temporary the size of K)
         for j in np.flatnonzero(np.sqrt(np.vecdot(K, K).real) * dt > 1.0):
-            worst = linalg.max_abs(frame.from_entries(*part.resonant, K[j]))
+            worst = linalg.max_abs(part.to_original(K[j]))
             if worst * dt > 1.0:
                 raise StepTooLarge(
                     f"max_abs(coupling^2 kappa2({nodes[j]:.3g})) * dt = {worst * dt:.3g} > 1"
@@ -177,11 +176,11 @@ def integrate_time_local(
     # i l1 = diag(lam) + i coupling kappa1, as resonant entries; these run
     # cluster by cluster, row-major, so cluster b's block is the s_b^2
     # entries from offsets[b] on
-    hermitian = (np.diag(part.eigenvalues) + 1j * c * gen.kappa1)[part.resonant]
-    offsets = np.cumsum(part.sizes**2) - part.sizes**2
+    rows, cols = part.resonant
+    hermitian = np.where(rows == cols, part.eigenvalues[rows], 0.0) + 1j * c * gen.kappa1
     entries = np.empty((len(times), len(hermitian)), dtype=complex)
     for s in np.unique(part.sizes):
-        index = offsets[part.sizes == s][:, None, None] + np.arange(s * s).reshape(s, s)
+        index = part.offsets[part.sizes == s][:, None, None] + np.arange(s * s).reshape(s, s)
         eig = linalg.hermitian_eigendecompose(hermitian[index])
         W, w = eig.basis, eig.eigenvalues
         W_dag = W.conj().transpose(0, 2, 1)
@@ -204,7 +203,7 @@ def integrate_time_local(
             phi *= phases
         # exp(l1 t) Phi = W e^{-iwt} Phi W^dag at every grid point
         entries[:, index] = _sandwich_blocks(W, phi, W_dag).transpose(1, 0, 2, 3)
-    values = [frame.from_entries(*part.resonant, e) for e in entries]
+    values = [part.to_original(e) for e in entries]
     return PropagatorSeries(grid=grid, values=values, label=f"timelocal-order{order}")
 
 
@@ -234,6 +233,8 @@ def order_estimate(
     lambdas = list(lambdas)
     if len(lambdas) < 3:
         raise ValueError("need at least 3 coupling values")
+    if not all(0 < lam < np.inf for lam in lambdas):
+        raise ValueError(f"lambdas must be positive finite couplings, got {lambdas}")
     errors = []
     for lam in lambdas:
         split_lam = replace(split, coupling=float(lam))

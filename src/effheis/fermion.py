@@ -94,7 +94,7 @@ class SplitHamiltonian:
         )
 
 
-def validate_fermion(H: np.ndarray, n: int, tol: float = VALIDATION_TOL) -> FermionHamiltonian:
+def validate_fermion(H: np.ndarray, n: int) -> FermionHamiltonian:
     """Validate H = -H^T = -tilde(H) and wrap it as a FermionHamiltonian.
 
     Raises NotAntisymmetric / NotTildeAntisymmetric with the worst-violating
@@ -103,10 +103,10 @@ def validate_fermion(H: np.ndarray, n: int, tol: float = VALIDATION_TOL) -> Ferm
     H = linalg.as_matrix(H)
     if H.shape[0] != 2 * n:
         raise DimensionMismatch(f"expected dim {2 * n}, got {H.shape[0]}")
-    check_worst_entry(H + H.T, "(H + H^T)", tol, NotAntisymmetric)
-    check_worst_entry(H + tilde_conjugate(H, n), "(H + tilde(H))", tol, NotTildeAntisymmetric)
+    check_worst_entry(H + H.T, "(H + H^T)", VALIDATION_TOL, NotAntisymmetric)
+    check_worst_entry(H + tilde_conjugate(H, n), "(H + tilde(H))", VALIDATION_TOL, NotTildeAntisymmetric)
     EH = exchange_matrix(n) @ H
-    if linalg.hermiticity_residual(EH) > tol:
+    if linalg.hermiticity_residual(EH) > VALIDATION_TOL:
         raise NotHermitian("E @ H is not Hermitian within tolerance")
     return FermionHamiltonian(n=n, H=H)
 

@@ -18,6 +18,8 @@ from .errors import DimensionOverflow, NotHermitian, Overflow
 # dimension cap for Kronecker constructions
 DIM_CAP = 4096
 EXP_NORM_CAP = 1e4
+# M counts as Hermitian when max_abs(M - M^dag) <= HERMITIAN_RTOL * (1 + max_abs(M))
+HERMITIAN_RTOL = 1e-10
 
 
 def max_abs(A: np.ndarray) -> float:
@@ -41,8 +43,8 @@ def hermiticity_residual(M: np.ndarray) -> float:
     return max_abs(M - M.conj().T)
 
 
-def is_hermitian(M: np.ndarray, rtol: float = 1e-10) -> bool:
-    return hermiticity_residual(M) <= rtol * (1.0 + max_abs(M))
+def is_hermitian(M: np.ndarray) -> bool:
+    return hermiticity_residual(M) <= HERMITIAN_RTOL * (1.0 + max_abs(M))
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,13 @@ def hermitian_eigendecompose(M: np.ndarray) -> HermitianEigenDecomposition:
     Raises
     ------
     NotHermitian
-        If ``max_abs(M - M†) > 1e-10 * (1 + max_abs(M))`` for some matrix
-        of the stack.
+        If ``max_abs(M - M†) > HERMITIAN_RTOL * (1 + max_abs(M))`` for some
+        matrix of the stack.
     """
     M = as_matrix(M, stack=True)
     M_dag = M.conj().swapaxes(-1, -2)
     residual = np.abs(M - M_dag).max(axis=(-2, -1), initial=0.0)
-    bad = residual > 1e-10 * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
+    bad = residual > HERMITIAN_RTOL * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
     if bad.any():
         raise NotHermitian(f"hermiticity residual {residual[bad].max():.3e} exceeds tolerance")
     w, V = np.linalg.eigh((M + M_dag) / 2)
@@ -109,7 +111,7 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
     A = as_matrix(A)
     if max_abs(A) > EXP_NORM_CAP:
         raise Overflow(f"max_abs(A)={max_abs(A):.3e} exceeds cap {EXP_NORM_CAP:.3e}")
-    if max_abs(A + A.conj().T) < 1e-10 * (1.0 + max_abs(A)):
+    if max_abs(A + A.conj().T) < HERMITIAN_RTOL * (1.0 + max_abs(A)):
         return unitary_propagators(1j * A, -1.0)[0]
     import scipy.linalg  # only this branch needs it, and it takes longer to import than numpy
 

@@ -134,9 +134,10 @@ class TimeLocalGenerator:
     in the eigenbasis V0 of M0 (h0 = -i V0 diag(lam) V0^dag), where kappa1
     and kappa2(t) are block-diagonal over the clusters of ``partition``.
 
-    ``kappa2_of_t(times)`` takes a scalar or an array of times and returns
-    the resonant entries of kappa2, with shape ``times.shape + (nnz,)`` in
-    ``partition.resonant`` order; ``partition.dense`` makes them a matrix.
+    Both are held as their resonant entries, in ``partition.resonant``
+    order: ``kappa1`` has shape (nnz,), and ``kappa2_of_t(times)`` takes a
+    scalar or an array of times and returns shape ``times.shape + (nnz,)``.
+    ``partition.to_original`` takes such entries to the original basis.
     """
 
     partition: ResonancePartition
@@ -148,10 +149,12 @@ class TimeLocalGenerator:
         """l(t) truncated at ``order``, in the original basis."""
         if order not in (1, 2):
             raise UnsupportedOrder(f"time-local generator truncation order {order}")
-        l = -1j * np.diag(self.partition.eigenvalues) + self.coupling * self.kappa1
+        rows, cols = self.partition.resonant
+        l = -1j * np.where(rows == cols, self.partition.eigenvalues[rows], 0.0)
+        l = l + self.coupling * self.kappa1
         if order == 2:
-            l = l + self.coupling**2 * self.partition.dense(self.kappa2_of_t(t))
-        return self.partition.decomposition.from_eigenbasis(l)
+            l = l + self.coupling**2 * self.kappa2_of_t(t)
+        return self.partition.to_original(l)
 
 
 def kappa12(
@@ -167,12 +170,11 @@ def kappa12(
     kappa2 at any number of times is then one psi evaluation and one product.
     """
     partition, hI = resonance_frame(split, m, tol)
-    kappa1 = np.where(partition.mask, hI, 0.0)
+    kappa1 = hI[partition.resonant]
     values, inverse = partition.distinct_delta
     nf = len(values)
-    weights = np.empty((len(partition.resonant[0]), nf), dtype=complex)
-    start = 0
-    for lo, s in zip(partition.bounds, partition.sizes):
+    weights = np.empty((len(kappa1), nf), dtype=complex)
+    for lo, s, start in zip(partition.bounds, partition.sizes, partition.offsets):
         hi = lo + s
         rows = weights[start : start + s * s]
         # products hI[a, x] hI[x, c] for a, c in the cluster, binned by the
@@ -181,9 +183,8 @@ def kappa12(
         bins = (np.arange(s * s).reshape(s, 1, s) * nf + inverse[None, :, lo:hi]).ravel()
         rows.real = np.bincount(bins, products.real, rows.size).reshape(rows.shape)
         rows.imag = np.bincount(bins, products.imag, rows.size).reshape(rows.shape)
-        block = kappa1[lo:hi, lo:hi]
+        block = hI[lo:hi, lo:hi]
         rows[:, inverse[0, 0]] -= (block @ block).ravel()
-        start += s * s
 
     def kappa2(times) -> np.ndarray:
         times = np.asarray(times, dtype=float)

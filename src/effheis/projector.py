@@ -59,13 +59,6 @@ class ResonancePartition:
         by cluster, row-major inside each."""
         return np.nonzero(self.mask)
 
-    def dense(self, entries: np.ndarray) -> np.ndarray:
-        """The eigenbasis matrix whose resonant entries are ``entries``, in
-        ``resonant`` order, and whose other entries are 0."""
-        out = np.zeros((len(self.labels),) * 2, dtype=complex)
-        out[self.resonant] = entries
-        return out
-
     @cached_property
     def bounds(self) -> np.ndarray:
         """Start offset of each cluster.  The spectrum is sorted and the
@@ -76,6 +69,17 @@ class ResonancePartition:
     def sizes(self) -> np.ndarray:
         """Number of eigenvalues in each cluster, in label order."""
         return np.diff(self.bounds, append=len(self.labels))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each cluster's s^2 entries start in ``resonant`` order."""
+        return np.cumsum(self.sizes**2) - self.sizes**2
+
+    def to_original(self, entries: np.ndarray) -> np.ndarray:
+        """The original-basis matrix whose eigenbasis entries are ``entries``,
+        in ``resonant`` order, on the resonant positions and 0 elsewhere.
+        Needs the Kronecker-factored frame of ``free_moment_partition``."""
+        return self.decomposition.from_entries(*self.resonant, entries)
 
     @property
     def cluster_values(self) -> np.ndarray:

@@ -35,6 +35,7 @@ from .projector import (
     resonance_partition,
 )
 
+HEISENBERG_TIMES = (0.3, 1.0, 2.5)
 STATIONARITY_PAIRS = ((0.2, 0.9), (1.3, 0.4))
 
 
@@ -51,12 +52,12 @@ def random_valid_fermion(n: int, rng: np.random.Generator) -> FermionHamiltonian
 
 
 def heisenberg_reduction_residual(split: SplitHamiltonian, rng: np.random.Generator,
-                    samples: int = 5, times=(0.3, 1.0, 2.5)) -> float:
+                                  samples: int = 5) -> float:
     """Heisenberg-matrix reduction against the Fock oracle, random valid H,
-    each checked at all ``times`` in one call."""
+    each checked at all HEISENBERG_TIMES in one call."""
     rep = jordan_wigner(split.n)
     return max(
-        (check_heisenberg_reduction(random_valid_fermion(split.n, rng), rep, times)
+        (check_heisenberg_reduction(random_valid_fermion(split.n, rng), rep, HEISENBERG_TIMES)
          for _ in range(samples)),
         default=0.0,
     )
@@ -152,16 +153,17 @@ def moment_equivalence_residual(
 
 
 def stationarity_residual(
-    split: SplitHamiltonian, m: int, pairs=STATIONARITY_PAIRS, tol: float = DEFAULT_RESONANCE_TOL
+    split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> float:
-    """P(hI(t2) hI(t1)) = P(hI hI(t1 - t2))."""
+    """P(hI(t2) hI(t1)) = P(hI hI(t1 - t2)) at every (t1, t2) of
+    STATIONARITY_PAIRS."""
     partition, hI = resonance_frame(split, m, tol)
 
     def hI_at(t: float) -> np.ndarray:
         return hI * np.exp(-t * partition.delta)
 
     worst = 0.0
-    for t1, t2 in pairs:
+    for t1, t2 in STATIONARITY_PAIRS:
         lhs = partition.project_eig(hI_at(t2) @ hI_at(t1))
         rhs = partition.project_eig(hI @ hI_at(t1 - t2))
         worst = max(worst, linalg.max_abs(lhs - rhs))
@@ -179,13 +181,13 @@ DEFAULT_THRESHOLDS = {
 
 def run_verification(split: SplitHamiltonian, m: int, seed: int = 0,
                      resonance_tol: float = DEFAULT_RESONANCE_TOL,
-                     thresholds: dict | None = None) -> dict:
-    """Full oracle cross-check suite; returns per-check residuals and verdicts."""
+                     report_tol: float | None = None) -> dict:
+    """Full oracle cross-check suite; returns per-check residuals and verdicts.
+    Each check passes at its DEFAULT_THRESHOLDS entry, or at ``report_tol``
+    for every check when that is given."""
     if split.n > MAX_SUPEROP_MODES:
         raise TooManyModes(f"verification requires n <= {MAX_SUPEROP_MODES}")
-    thr = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
+    thr = DEFAULT_THRESHOLDS if report_tol is None else dict.fromkeys(DEFAULT_THRESHOLDS, report_tol)
     rng = np.random.default_rng(seed)
     # the 4^n-dimensional superoperator checks get expensive from n=3 on
     superop_samples = 10 if split.n <= 2 else 2

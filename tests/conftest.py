@@ -40,7 +40,3 @@ def detuned_split():
         interaction=eh.validate_fermion(HI, 2),
         coupling=0.1,
     )
-
-
-def max_abs(A):
-    return float(np.max(np.abs(np.asarray(A)))) if np.asarray(A).size else 0.0

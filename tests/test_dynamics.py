@@ -41,7 +41,7 @@ def dense_rk4(gen, order, grid, max_step=1e-3):
     each grid interval cut into substeps of at most max_step."""
     substeps = max(1, math.ceil(grid.dt / max_step))
     dt = grid.dt / substeps
-    psi = np.eye(len(gen.kappa1), dtype=complex)
+    psi = np.eye(gen.partition.decomposition.dim, dtype=complex)
     values = [psi]
     t = 0.0
     for _ in range(grid.steps):
@@ -124,8 +124,7 @@ def original_basis_kappa2s(gen, grid):
     """coupling^2 kappa2(t) in the original basis at every RK4 node, in time
     order: the grid points and the interval midpoints."""
     nodes = np.sort(np.concatenate([grid.times, grid.times[:-1] + grid.dt / 2]))
-    to_original = gen.partition.decomposition.from_eigenbasis
-    return [gen.coupling**2 * to_original(gen.partition.dense(gen.kappa2_of_t(t))) for t in nodes]
+    return [gen.coupling**2 * gen.partition.to_original(gen.kappa2_of_t(t)) for t in nodes]
 
 
 @st.composite
@@ -172,6 +171,11 @@ class TestTimeGrid:
             TimeGrid(-1.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
+    def test_rejects_non_finite_or_zero_t_end(self, t_end):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid(t_end, 4)
 
 
 class TestExactSeries:
@@ -233,9 +237,7 @@ class TestIntegrateTimeLocal:
         )
         gen = kappa12(split, 1)
         l1 = gen.at(0.0, 1)
-        kappa2 = gen.partition.decomposition.from_eigenbasis(
-            gen.partition.dense(gen.kappa2_of_t(0.7))
-        )
+        kappa2 = gen.partition.to_original(gen.kappa2_of_t(0.7))
         assert linalg.max_abs(l1 @ kappa2 - kappa2 @ l1) > 1e-2
         grid = TimeGrid(1.0, 20)
         series = integrate_time_local(gen, 2, grid)
@@ -489,3 +491,9 @@ class TestOrderEstimate:
     def test_requires_three_lambdas(self, detuned_split):
         with pytest.raises(ValueError):
             order_estimate(detuned_split, 1, TimeGrid(1.0, 20), (0.1, 0.05))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.05, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_lambda(self, detuned_split, bad):
+        # a lambda <= 0 would reach np.log and give a NaN slope
+        with pytest.raises(ValueError, match="positive finite"):
+            order_estimate(detuned_split, 1, TimeGrid(1.0, 20), (0.1, 0.05, bad))

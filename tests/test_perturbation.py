@@ -192,9 +192,38 @@ class TestCumulants:
         gen = kappa12(offres_split, 1)
         assert linalg.max_abs(gen.kappa1) < 1e-14
 
+    def test_kappa1_is_resonant_entries(self, detuned_split):
+        for m in (1, 2):
+            gen = kappa12(detuned_split, m)
+            partition, hI = resonance_frame(detuned_split, m)
+            assert gen.kappa1.shape == (len(partition.resonant[0]),)
+            np.testing.assert_array_equal(gen.kappa1, hI[partition.resonant])
+            assert linalg.max_abs(gen.kappa1) > 0.1
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_at_matches_dense_formula(self, detuned_split, order):
+        # V0 (-i diag(lam) + lambda kappa1 + lambda^2 kappa2(t)) V0^dag, with
+        # kappa1 and kappa2(t) as dense eigenbasis matrices; a random H0 at
+        # m = 2 rotates the frame and has clusters of size 2
+        rng = np.random.default_rng(5)
+        rotated = SplitHamiltonian(
+            base=random_valid_fermion(2, rng), interaction=random_valid_fermion(2, rng), coupling=0.3
+        )
+        t = 0.6
+        for split, m in ((detuned_split, 1), (detuned_split, 2), (rotated, 2)):
+            gen = kappa12(split, m)
+            partition, hI = resonance_frame(split, m)
+            l = -1j * np.diag(partition.eigenvalues) + split.coupling * np.where(partition.mask, hI, 0.0)
+            if order == 2:
+                kappa2 = np.zeros_like(l)
+                kappa2[partition.resonant] = gen.kappa2_of_t(t)
+                l = l + split.coupling**2 * kappa2
+            want = partition.decomposition.from_eigenbasis(l)
+            assert linalg.max_abs(gen.at(t, order) - want) <= 1e-15
+
     def test_kappa2_zero_at_t0(self, detuned_split):
         gen = kappa12(detuned_split, 1)
-        assert linalg.max_abs(gen.partition.dense(gen.kappa2_of_t(0.0))) < 1e-14
+        assert linalg.max_abs(gen.kappa2_of_t(0.0)) < 1e-14
 
     def test_kappa2_commuting_closed_form(self, resonant_split):
         t = 0.9
@@ -203,17 +232,13 @@ class TestCumulants:
         M0 = free_moment_generator_hermitian(resonant_split, 1)
         P = lambda X: project(X, M0)
         want = t * P(hI @ hI) - t * (P(hI) @ P(hI))
-        got = gen.partition.decomposition.from_eigenbasis(
-            gen.partition.dense(gen.kappa2_of_t(t))
-        )
+        got = gen.partition.to_original(gen.kappa2_of_t(t))
         assert linalg.max_abs(got - want) < 1e-12
 
     def test_cumulant_identity_order2(self, offres_split):
         t = 1.0
         gen = kappa12(offres_split, 1)
-        closed = gen.partition.decomposition.from_eigenbasis(
-            gen.partition.dense(gen.kappa2_of_t(t))
-        )
+        closed = gen.partition.to_original(gen.kappa2_of_t(t))
         fd = general_kappa(offres_split, 1, 2, t, nodes=64)
         assert linalg.max_abs(closed - fd) < 1e-5
 
@@ -279,12 +304,16 @@ class TestBatchedKappa2:
         split, m, nodes = case
         gen = kappa12(split, m)
         partition, hI = resonance_frame(split, m)
+        kappa1 = np.where(partition.mask, hI, 0.0)
         got = gen.kappa2_of_t(nodes)
         assert got.shape == (len(nodes), int(partition.mask.sum()))
         for t, entries in zip(nodes, got):
-            want = dense_kappa2(partition, hI, gen.kappa1, t)
+            want = dense_kappa2(partition, hI, kappa1, t)
+            # off the mask the entries are 0, so the two parts cover every entry
+            assert not want[~partition.mask].any()
             # relative to the size of the result: round-off grows with d |hI|^2
-            assert linalg.max_abs(partition.dense(entries) - want) <= 1e-14 * max(1.0, linalg.max_abs(want))
+            diff = entries - want[partition.resonant]
+            assert linalg.max_abs(diff) <= 1e-14 * max(1.0, linalg.max_abs(want))
 
     def test_scalar_time_gives_one_row(self, detuned_split):
         gen = kappa12(detuned_split, 1)

@@ -123,6 +123,48 @@ class TestFreeMomentPartition:
         assert (eig.factor is None) == (kind != "random")
 
 
+def frame_split(n: int, kind: str, rng) -> SplitHamiltonian:
+    """A split whose free moment frame is a permutation with simple
+    ("diagonal") or repeated ("degenerate") frequencies, or rotated."""
+    base = {
+        "diagonal": lambda: eh.diagonal_modes(np.sqrt([2.0, 3.0, 5.0][:n])),
+        "degenerate": lambda: eh.diagonal_modes([1.0, 2.0, 1.0][:n]),
+        "rotated": lambda: random_valid_fermion(n, rng),
+    }[kind]()
+    return SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
+
+
+class TestResonantEntries:
+    """The (nnz,) layout of the resonant entries and its one way back to
+    the original basis."""
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("kind", ["diagonal", "degenerate", "rotated"])
+    def test_to_original_matches_from_eigenbasis(self, n, m, kind):
+        rng = np.random.default_rng(n + 10 * m)
+        part = free_moment_partition(frame_split(n, kind, rng), m)
+        assert (part.decomposition.factor is None) == (kind != "rotated")
+        entries = rng.standard_normal(part.mask.sum()) + 1j * rng.standard_normal(part.mask.sum())
+        dense = np.zeros(part.mask.shape, dtype=complex)
+        dense[part.resonant] = entries
+        np.testing.assert_array_equal(
+            part.to_original(entries), part.decomposition.from_eigenbasis(dense)
+        )
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("kind", ["diagonal", "degenerate", "rotated"])
+    def test_cluster_entries_start_at_offsets(self, n, m, kind):
+        part = free_moment_partition(frame_split(n, kind, np.random.default_rng(n)), m)
+        # each eigenbasis entry labelled by its row-major position
+        d = len(part.labels)
+        position = np.arange(d * d).reshape(d, d)
+        flat = position[part.resonant]
+        for lo, s, start in zip(part.bounds, part.sizes, part.offsets):
+            block = position[lo : lo + s, lo : lo + s].ravel()
+            np.testing.assert_array_equal(flat[start : start + s * s], block)
+        assert part.offsets[-1] + part.sizes[-1] * part.sizes[-1] == len(flat)
+
+
 class TestResonanceLabels:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(boundary_spectra(), st.randoms(use_true_random=False))
