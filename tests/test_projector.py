@@ -93,19 +93,25 @@ def linked(w, gap):
     return np.linalg.matrix_power(adjacency, len(w)) > 0
 
 
+def frame_split(n: int, kind: str, rng) -> SplitHamiltonian:
+    """n <= 4 modes whose free moment frame is a permutation with distinct
+    ("generic") or repeated ("degenerate") frequencies, or is rotated by a
+    random H0 ("random")."""
+    base = {
+        "generic": lambda: eh.diagonal_modes(np.sqrt([2.0, 3.0, 5.0, 7.0][:n])),
+        "degenerate": lambda: eh.diagonal_modes([1.0, 2.0, 2.0, 1.0][:n]),
+        "random": lambda: random_valid_fermion(n, rng),
+    }[kind]()
+    return SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
+
+
 class TestFreeMomentPartition:
     """The Kronecker-factored partition of M0 against the dense one."""
 
     @pytest.mark.parametrize("n, m", [(4, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "random"])
     def test_matches_dense_partition(self, n, m, kind):
-        rng = np.random.default_rng(n + 10 * m)
-        base = {
-            "generic": lambda: eh.diagonal_modes(np.sqrt([2.0, 3.0, 5.0, 7.0][:n])),
-            "degenerate": lambda: eh.diagonal_modes([1.0, 2.0, 2.0, 1.0][:n]),
-            "random": lambda: random_valid_fermion(n, rng),
-        }[kind]()
-        split = SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
+        split = frame_split(n, kind, np.random.default_rng(n + 10 * m))
         M0 = free_moment_generator_hermitian(split, m)
         got = free_moment_partition(split, m)
         want = resonance_partition(M0)
@@ -123,27 +129,16 @@ class TestFreeMomentPartition:
         assert (eig.factor is None) == (kind != "random")
 
 
-def frame_split(n: int, kind: str, rng) -> SplitHamiltonian:
-    """A split whose free moment frame is a permutation with simple
-    ("diagonal") or repeated ("degenerate") frequencies, or rotated."""
-    base = {
-        "diagonal": lambda: eh.diagonal_modes(np.sqrt([2.0, 3.0, 5.0][:n])),
-        "degenerate": lambda: eh.diagonal_modes([1.0, 2.0, 1.0][:n]),
-        "rotated": lambda: random_valid_fermion(n, rng),
-    }[kind]()
-    return SplitHamiltonian(base=base, interaction=random_valid_fermion(n, rng), coupling=0.1)
-
-
 class TestResonantEntries:
     """The (nnz,) layout of the resonant entries and its one way back to
     the original basis."""
 
     @pytest.mark.parametrize("n, m", [(3, 1), (2, 2), (2, 3)])
-    @pytest.mark.parametrize("kind", ["diagonal", "degenerate", "rotated"])
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "random"])
     def test_to_original_matches_from_eigenbasis(self, n, m, kind):
         rng = np.random.default_rng(n + 10 * m)
         part = free_moment_partition(frame_split(n, kind, rng), m)
-        assert (part.decomposition.factor is None) == (kind != "rotated")
+        assert (part.decomposition.factor is None) == (kind != "random")
         entries = rng.standard_normal(part.mask.sum()) + 1j * rng.standard_normal(part.mask.sum())
         dense = np.zeros(part.mask.shape, dtype=complex)
         dense[part.resonant] = entries
@@ -152,7 +147,7 @@ class TestResonantEntries:
         )
 
     @pytest.mark.parametrize("n, m", [(3, 1), (2, 2), (2, 3)])
-    @pytest.mark.parametrize("kind", ["diagonal", "degenerate", "rotated"])
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "random"])
     def test_cluster_entries_start_at_offsets(self, n, m, kind):
         part = free_moment_partition(frame_split(n, kind, np.random.default_rng(n)), m)
         # each eigenbasis entry labelled by its row-major position
