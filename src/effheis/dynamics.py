@@ -1,6 +1,13 @@
 """Time evolution and comparison: the exact projected propagator sampled on
 a grid, integration of the time-local equation dPsi/dt = l(t) Psi, and
 error/convergence-order diagnostics.
+
+Every averaged propagator is zero outside the resonant entries of M0's
+eigenbasis V0, so a ``PropagatorSeries`` holds only those: a (grid points,
+nnz) array in ``ResonancePartition.resonant`` order, the layout of kappa1
+and kappa2(t).  ``compare`` and ``order_estimate`` work on the entries; the
+d x d original-basis matrices are built on demand, by ``value(k)`` one grid
+point at a time or by ``values`` for all of them, and never kept.
 """
 
 from __future__ import annotations
@@ -10,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateFit, GridMismatch, StepTooLarge, UnsupportedOrder
+from .errors import DegenerateFit, FrameMismatch, GridMismatch, StepTooLarge, UnsupportedOrder
 from .fermion import SplitHamiltonian
 from .perturbation import TimeLocalGenerator, kappa12
-from .projector import DEFAULT_RESONANCE_TOL, free_moment_partition
+from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
 
 # an order study is degenerate when every error sits at round-off
 ROUND_OFF = 1e-13
@@ -43,9 +50,24 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PropagatorSeries:
+    """A propagator on a grid, as the resonant entries of each grid point in
+    the partition's eigenbasis: ``entries`` has shape (grid points, nnz), in
+    ``partition.resonant`` order."""
+
     grid: TimeGrid
-    values: list
+    partition: ResonancePartition
+    entries: np.ndarray
     label: str
+
+    def value(self, k: int) -> np.ndarray:
+        """The d x d propagator at grid point k, in the original basis."""
+        return self.partition.to_original(self.entries[k])
+
+    @property
+    def values(self) -> list:
+        """The d x d propagator at every grid point, in the original basis,
+        built anew on every access."""
+        return [self.partition.to_original(e) for e in self.entries]
 
 
 def exact_series(
@@ -61,7 +83,7 @@ def exact_series(
     the product over the slots k of B(t)[a_k, c_k], B(t) = V1^dag O(t) V1,
     with (a_1, ..., a_m) the slot indices of column a.  Only the resonant
     entries, which P keeps, are formed, from one 2n x 2n eigendecomposition
-    of E H, and they go straight to the original basis."""
+    of E H."""
     partition = free_moment_partition(split, m, tol)
     frame = partition.decomposition
     times = grid.times
@@ -72,8 +94,7 @@ def exact_series(
     entries = 1.0
     for a, c in zip(frame.digits(rows), frame.digits(cols)):
         entries = entries * B[:, a, c]
-    values = [partition.to_original(e) for e in entries]
-    return PropagatorSeries(grid=grid, values=values, label="exact")
+    return PropagatorSeries(grid=grid, partition=partition, entries=entries, label="exact")
 
 
 def _sandwich_blocks(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -149,8 +170,8 @@ def integrate_time_local(
     bucket is one stack of blocks: l1 = -i W diag(w) W^dag is one stacked
     eigendecomposition, the rotation of kappa2 into l1's eigenbasis covers
     all nodes at once, RK4 runs on the stack, and exp(l1 t) Phi =
-    W e^{-iwt} Phi W^dag is formed at all grid points at once.  Its entries
-    go to the original basis through ``partition.to_original``.
+    W e^{-iwt} Phi W^dag is formed at all grid points at once; those are the
+    series' entries.
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
@@ -203,15 +224,30 @@ def integrate_time_local(
             phi *= phases
         # exp(l1 t) Phi = W e^{-iwt} Phi W^dag at every grid point
         entries[:, index] = _sandwich_blocks(W, phi, W_dag).transpose(1, 0, 2, 3)
-    values = [part.to_original(e) for e in entries]
-    return PropagatorSeries(grid=grid, values=values, label=f"timelocal-order{order}")
+    return PropagatorSeries(
+        grid=grid, partition=part, entries=entries, label=f"timelocal-order{order}"
+    )
 
 
 def compare(a: PropagatorSeries, b: PropagatorSeries) -> dict:
-    """Per-point and sup max-entry errors between two series on one grid."""
+    """Per-point and sup max-entry errors, in the original basis, between two
+    series on one grid and one frame.
+
+    When V0 is a permutation (V1 = I, a diagonal E H0), ``to_original`` only
+    scatters, so a point's error is the largest entry difference, bit for
+    bit, and no d x d matrix is made.  Otherwise each point's entry
+    difference goes to the original basis, one d x d matrix at a time."""
     if a.grid != b.grid:
         raise GridMismatch("series grids differ")
-    per_point = [linalg.max_abs(x - y) for x, y in zip(a.values, b.values)]
+    part = a.partition
+    if not part.same_frame(b.partition):
+        raise FrameMismatch("series are held in different resonance frames")
+    diff = a.entries - b.entries
+    frame = part.decomposition
+    if isinstance(frame, linalg.KroneckerEigenDecomposition) and frame.factor is None:
+        per_point = np.abs(diff).max(axis=1).tolist()
+    else:
+        per_point = [linalg.max_abs(part.to_original(e)) for e in diff]
     return {"sup_error": max(per_point), "per_point": per_point}
 
 

@@ -61,6 +61,10 @@ class GridMismatch(EffheisError):
     pass
 
 
+class FrameMismatch(EffheisError):
+    """Two series hold their entries in different resonance frames."""
+
+
 class DegenerateFit(EffheisError):
     """Every error of an order study is round-off: the model is exactly solvable."""
 

@@ -67,6 +67,13 @@ class HermitianEigenDecomposition:
         """V Y V†."""
         return self.basis @ Y @ self.basis.conj().swapaxes(-1, -2)
 
+    def from_entries(self, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """V Y V† for the eigenbasis matrix Y whose (rows, cols) entries are
+        ``entries`` and whose other entries are 0."""
+        Y = np.zeros((self.dim, self.dim), dtype=complex)
+        Y[rows, cols] = entries
+        return self.from_eigenbasis(Y)
+
 
 def hermitian_eigendecompose(M: np.ndarray) -> HermitianEigenDecomposition:
     """Eigendecompose a Hermitian matrix, or each matrix of a stack

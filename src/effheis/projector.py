@@ -6,7 +6,7 @@ cross-check and the effective moment propagator built on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,7 @@ class ResonancePartition:
     ``decomposition`` is M's eigendecomposition: a dense one, or the
     Kronecker-factored one of a moment generator (``free_moment_partition``);
     both go to and from the eigenbasis through ``to_eigenbasis`` and
-    ``from_eigenbasis``.
+    ``from_eigenbasis``, and from resonant entries through ``from_entries``.
     """
 
     decomposition: linalg.HermitianEigenDecomposition | linalg.KroneckerEigenDecomposition
@@ -77,9 +77,20 @@ class ResonancePartition:
 
     def to_original(self, entries: np.ndarray) -> np.ndarray:
         """The original-basis matrix whose eigenbasis entries are ``entries``,
-        in ``resonant`` order, on the resonant positions and 0 elsewhere.
-        Needs the Kronecker-factored frame of ``free_moment_partition``."""
+        in ``resonant`` order, on the resonant positions and 0 elsewhere."""
         return self.decomposition.from_entries(*self.resonant, entries)
+
+    def same_frame(self, other: ResonancePartition) -> bool:
+        """Whether ``other`` has this partition's entry layout and
+        ``to_original``: the same clusters of the same eigendecomposition."""
+        if self is other:
+            return True
+        a, b = self.decomposition, other.decomposition
+        return (
+            type(a) is type(b)
+            and np.array_equal(self.labels, other.labels)
+            and all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        )
 
     @property
     def cluster_values(self) -> np.ndarray:

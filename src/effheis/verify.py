@@ -145,7 +145,7 @@ def moment_equivalence_residual(
     rep = jordan_wigner(split.n)
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
-    W = exact_series(split, m, TimeGrid(t, 1), tol).values[-1]
+    W = exact_series(split, m, TimeGrid(t, 1), tol).value(-1)
     products = operator_products(rep, m)
     oracle = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
     approx = np.tensordot(W, products, axes=1)

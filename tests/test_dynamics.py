@@ -20,6 +20,7 @@ from effheis.dynamics import (
 from effheis.errors import (
     DegenerateFit,
     DimensionOverflow,
+    FrameMismatch,
     GridMismatch,
     StepTooLarge,
     UnsupportedOrder,
@@ -58,7 +59,8 @@ def dense_rk4(gen, order, grid, max_step=1e-3):
 
 def project_per_point_exact_series(split, m, grid, tol=DEFAULT_RESONANCE_TOL):
     """Reference: exact_series before the eigenbasis engine, exp(h t) built
-    in the original basis and projected with project_with at every point."""
+    in the original basis and projected with project_with at every point,
+    as a list of d x d matrices."""
     h = moment_generator(split.total(), m)
     M0 = free_moment_generator_hermitian(split, m)
     # h is anti-Hermitian: diagonalize once, exponentiate per grid point
@@ -68,13 +70,14 @@ def project_per_point_exact_series(split, m, grid, tol=DEFAULT_RESONANCE_TOL):
     for t in grid.times:
         phases = np.exp(-1j * h_eig.eigenvalues * t)
         values.append(project_with((h_eig.basis * phases) @ h_eig.basis.conj().T, partition))
-    return PropagatorSeries(grid=grid, values=values, label="exact")
+    return values
 
 
 def frame_rk4(gen, order, grid):
     """Reference: integrate_time_local before the eigenbasis engine, with a
     dense eigendecomposition of l1 and kappa2(t) from gen.at, taken from the
-    original basis into l1's eigenbasis at every node."""
+    original basis into l1's eigenbasis at every node; a list of d x d
+    matrices."""
     if order not in (1, 2):
         raise UnsupportedOrder(f"time-local generator truncation order {order}")
     l1 = gen.at(0.0, 1)
@@ -113,11 +116,12 @@ def frame_rk4(gen, order, grid):
             s4 = k_end @ (phi + dt * s3)
             phi = phi + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
         values.append(psi(t_next, phi))
-    return PropagatorSeries(grid=grid, values=values, label=f"timelocal-order{order}")
+    return values
 
 
-def series_gap(a, b):
-    return max(linalg.max_abs(x - y) for x, y in zip(a.values, b.values))
+def series_gap(series, reference):
+    """Largest max-abs gap between a series and a list of d x d matrices."""
+    return max(linalg.max_abs(x - y) for x, y in zip(series.values, reference))
 
 
 def original_basis_kappa2s(gen, grid):
@@ -446,17 +450,72 @@ class TestCompare:
         assert out["sup_error"] == 0.0
         assert len(out["per_point"]) == grid.steps + 1
 
+    # one 2 x 2 cluster, so every entry is resonant: entries are the
+    # row-major 2 x 2 matrices in the eigenbasis
+    SMALL = resonance_partition(np.zeros((2, 2)))
+    EYE = np.eye(2).ravel()
+
     def test_known_offset(self):
         grid = TimeGrid(1.0, 2)
-        a = PropagatorSeries(grid, [np.eye(2)] * 3, "a")
-        b = PropagatorSeries(grid, [np.eye(2), np.eye(2) + 0.5, np.eye(2)], "b")
+        a = PropagatorSeries(grid, self.SMALL, np.stack([self.EYE] * 3), "a")
+        b = PropagatorSeries(grid, self.SMALL, np.stack([self.EYE, self.EYE + 0.5, self.EYE]), "b")
         assert compare(a, b)["sup_error"] == pytest.approx(0.5)
 
     def test_grid_mismatch(self):
-        a = PropagatorSeries(TimeGrid(1.0, 2), [np.eye(2)] * 3, "a")
-        b = PropagatorSeries(TimeGrid(2.0, 2), [np.eye(2)] * 3, "b")
+        a = PropagatorSeries(TimeGrid(1.0, 2), self.SMALL, np.stack([self.EYE] * 3), "a")
+        b = PropagatorSeries(TimeGrid(2.0, 2), self.SMALL, np.stack([self.EYE] * 3), "b")
         with pytest.raises(GridMismatch):
             compare(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("frequencies", [[1.0, 1.37], [1.0, 1.0]], ids=["generic", "degenerate"])
+    def test_entries_match_dense_path_bit_for_bit(self, m, frequencies):
+        # diagonal H0: V0 is a permutation, so to_original only scatters
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes(frequencies),
+            interaction=random_valid_fermion(2, np.random.default_rng(m)),
+            coupling=0.2,
+        )
+        grid = TimeGrid(1.0, 10)
+        exact = exact_series(split, m, grid)
+        approx = integrate_time_local(kappa12(split, m), 2, grid)
+        part = exact.partition
+        assert part.decomposition.factor is None
+        for series in (exact, approx):
+            for k, value in enumerate(series.values):
+                dense = np.zeros(part.mask.shape, dtype=complex)
+                dense[part.resonant] = series.entries[k]
+                np.testing.assert_array_equal(value, part.decomposition.from_eigenbasis(dense))
+                np.testing.assert_array_equal(value, series.value(k))
+        per_point = [linalg.max_abs(x - y) for x, y in zip(exact.values, approx.values)]
+        out = compare(exact, approx)
+        assert out["per_point"] == per_point
+        assert out["sup_error"] == max(per_point) > 0
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3)])
+    def test_rotated_frame_within_round_off(self, n, m):
+        # V1 != I: one original-basis matrix of the entry difference per point
+        # against the difference of the two matrices
+        rng = np.random.default_rng(n + 10 * m)
+        split = eh.SplitHamiltonian(
+            base=random_valid_fermion(n, rng), interaction=random_valid_fermion(n, rng), coupling=0.1
+        )
+        grid = TimeGrid(1.0, 20)
+        exact = exact_series(split, m, grid)
+        approx = integrate_time_local(kappa12(split, m), 2, grid)
+        assert exact.partition.decomposition.factor is not None
+        got = compare(exact, approx)["per_point"]
+        want = [linalg.max_abs(x - y) for x, y in zip(exact.values, approx.values)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * (1 + w)
+
+    def test_frame_mismatch(self, offres_split):
+        grid = TimeGrid(1.0, 4)
+        series = exact_series(offres_split, 1, grid)
+        detuned = replace(offres_split, base=eh.diagonal_modes([1.0, 1.5]))
+        for other in (exact_series(detuned, 1, grid), exact_series(offres_split, 1, grid, tol=0.5)):
+            with pytest.raises(FrameMismatch):
+                compare(series, other)
 
     def test_order2_beats_order1(self, detuned_split):
         grid = TimeGrid(1.0, 50)
@@ -487,6 +546,23 @@ class TestOrderEstimate:
             with pytest.raises(DegenerateFit) as info:
                 order_estimate(split, m, TimeGrid(1.0, 20), self.LAMBDAS, order=2)
             assert len(info.value.errors) == len(self.LAMBDAS)
+
+    def test_peak_memory(self):
+        # (3, 3) diag at 100 steps: the series are held as their 2,820
+        # resonant entries per grid point, not as 216 x 216 matrices
+        # (101 of them per series, 75 MB)
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes(np.linspace(1.0, 2.3, 3)),
+            interaction=random_valid_fermion(3, np.random.default_rng(1)),
+            coupling=0.1,
+        )
+        tracemalloc.start()
+        try:
+            order_estimate(split, 3, TimeGrid(1.0, 100), (0.05, 0.1, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
     def test_requires_three_lambdas(self, detuned_split):
         with pytest.raises(ValueError):

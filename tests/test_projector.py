@@ -146,6 +146,20 @@ class TestResonantEntries:
             part.to_original(entries), part.decomposition.from_eigenbasis(dense)
         )
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_to_original_on_a_dense_frame(self, rng, rotate):
+        # the partition of a dense matrix holds a HermitianEigenDecomposition;
+        # the resonant entries of X in its eigenbasis go back to P(X)
+        M = np.diag([1.0, 1.0, 2.0]).astype(complex)
+        if rotate:
+            U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+            M = U @ M @ U.conj().T
+        part = resonance_partition(M)
+        np.testing.assert_array_equal(part.sizes, [2, 1])
+        X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        entries = part.decomposition.to_eigenbasis(X)[part.resonant]
+        np.testing.assert_array_equal(part.to_original(entries), project_with(X, part))
+
     @pytest.mark.parametrize("n, m", [(3, 1), (2, 2), (2, 3)])
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "random"])
     def test_cluster_entries_start_at_offsets(self, n, m, kind):
