@@ -184,8 +184,8 @@ def kron_sandwich(Z: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class KroneckerEigenDecomposition:
     """Eigendecomposition of kron_sum(K, m) for a k x k Hermitian
-    K = V1 diag(l) V1^dag, held as V1, m and a sort order instead of a dense
-    d x d basis, d = k^m.
+    K = V1 diag(l) V1^dag, held as V1, l, m and a sort order instead of a
+    dense d x d basis, d = k^m.
 
     Column a of the basis V0 is column ``order[a]`` of V1^{(x)m}, and its
     eigenvalue is l_{i_1} + ... + l_{i_m} over the slot indices
@@ -193,7 +193,8 @@ class KroneckerEigenDecomposition:
     significant, numpy's ``kron`` order).  ``order`` sorts these sums
     stably, so the eigenvalues ascend, as ``hermitian_eigendecompose``'s do.
     ``factor`` is V1, or None when K is diagonal (V1 = I): V0 is then a
-    permutation, and going to or from it is a scatter.
+    permutation, and going to or from it is a scatter.  ``slot_eigenvalues``
+    is l, in the column order of V1.
     """
 
     factor: np.ndarray | None
@@ -201,6 +202,7 @@ class KroneckerEigenDecomposition:
     m: int
     order: np.ndarray
     eigenvalues: np.ndarray
+    slot_eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -287,5 +289,5 @@ def kron_sum_eigendecompose(K: np.ndarray, m: int) -> KroneckerEigenDecompositio
         sums = np.add.outer(sums, w).ravel()
     order = np.argsort(sums, kind="stable")
     return KroneckerEigenDecomposition(
-        factor=factor, k=k, m=m, order=order, eigenvalues=sums[order]
+        factor=factor, k=k, m=m, order=order, eigenvalues=sums[order], slot_eigenvalues=w
     )

@@ -163,33 +163,55 @@ def kappa12(
     """First two cumulants in M0's eigenbasis, where P keeps the resonant
     blocks: kappa1 = P(hI), kappa2(t) = P(hI psi(t [h0, .]) hI) - t kappa1^2.
 
-    Entry (a, c) of kappa2(t) is sum_x hI[a, x] hI[x, c] psi(lam_x - lam_c, t)
-    - t kappa1^2[a, c], a fixed combination of psi over the distinct
-    frequency differences.  Its weights are gathered once, one cluster at a
-    time; -t kappa1^2 goes to the zero difference, where psi(0, t) = t.
-    kappa2 at any number of times is then one psi evaluation and one product.
+    Both are read off the k x k G = V1^dag E HI V1 (k = 2n) and the slot
+    indices (``digits``) of the resonant entries; no d x d array is made.
+    In V0, hI = -i sum_s G_(s), G placed in slot s, so hI[a, c] is
+    -i sum_s G[a_s, c_s] over the slots s off which a and c agree.  Where
+    they differ in slot r alone, lam_a - lam_c = l_{a_r} - l_{c_r}, so
+    psi(t [h0, .]) hI = -i sum_r (G o Psi(t))_(r) with
+    Psi(t)_ij = psi(-i (l_i - l_j), t), and kappa2(t)[a, c] is
+
+        sum_{s, r} sum_x G_(s)[a, x] G_(r)[x, c] (t [x in the cluster of c] - Psi_ij(t))
+
+    where x is c with slot r set to some i, and j = c_r.  So kappa2(t) is a
+    fixed combination of the k^2 values Psi(t)_ij, whose weights are
+    gathered once: the t terms go to Psi_00 = t, and a term whose bracket is
+    exactly 0 (x in the cluster of c and l_i = l_j) is left out, so that
+    kappa2 cancels exactly where hI commutes with h0.  kappa2 at any number
+    of times is then one psi evaluation and one product.
     """
-    partition, hI = resonance_frame(split, m, tol)
-    kappa1 = hI[partition.resonant]
-    values, inverse = partition.distinct_delta
-    nf = len(values)
-    weights = np.empty((len(kappa1), nf), dtype=complex)
-    for lo, s, start in zip(partition.bounds, partition.sizes, partition.offsets):
-        hi = lo + s
-        rows = weights[start : start + s * s]
-        # products hI[a, x] hI[x, c] for a, c in the cluster, binned by the
-        # difference of (x, c) under the row-major entry number of (a, c)
-        products = (hI[lo:hi, :, None] * hI[None, :, lo:hi]).ravel()
-        bins = (np.arange(s * s).reshape(s, 1, s) * nf + inverse[None, :, lo:hi]).ravel()
-        rows.real = np.bincount(bins, products.real, rows.size).reshape(rows.shape)
-        rows.imag = np.bincount(bins, products.imag, rows.size).reshape(rows.shape)
-        block = hI[lo:hi, lo:hi]
-        rows[:, inverse[0, 0]] -= (block @ block).ravel()
+    partition = free_moment_partition(split, m, tol)
+    frame = partition.decomposition
+    k, l = frame.k, frame.slot_eigenvalues
+    G = frame.factor_to_eigenbasis(split.interaction.single_particle_generator())
+    a, c = (np.array(frame.digits(index)) for index in partition.resonant)
+    differ, g = a != c, G[a, c]
+    # the cluster of every basis column by its Kronecker index, and the
+    # Kronecker index of every column c
+    cluster, column = partition.labels[np.argsort(frame.order)], frame.order[partition.resonant[1]]
+    weights = np.zeros((len(column), k * k), dtype=complex)
+    i = np.arange(k)
+    for s, r in np.ndindex(m, m):
+        # the entries with a term G_(s)[a, x] G_(r)[x, c]: a and c agree off
+        # slots s and r; x is c with slot r set to i, and with s != r only
+        # i = a_r gives G_(s)[a, x] != 0
+        e = np.flatnonzero(~np.delete(differ, [r, s], axis=0).any(axis=0))
+        j, home = c[r, e, None], column[e, None]
+        product = (G[a[s, e]] if r == s else g[s, e, None] * np.eye(k)[a[r, e]]) * G.T[c[r, e]]
+        resonant = cluster[home + (i - j) * k ** (m - 1 - r)] == cluster[home]
+        weights[e, 0] += np.where(resonant & (l[i] != l[j]), product, 0).sum(axis=1)
+        weights[e[:, None], i * k + j] -= np.where(resonant & (l[i] == l[j]), 0, product)
+    kappa1 = -1j * sum(np.where(np.delete(differ, s, 0).any(0), 0, g[s]) for s in range(m))
+    # only the entries and differences that some term reaches: kappa2 is 0
+    # where a and c differ in three slots or more
+    rows, cols = np.flatnonzero(weights.any(axis=1)), np.flatnonzero(weights.any(axis=0))
+    weights, delta = weights[np.ix_(rows, cols)], -1j * np.subtract.outer(l, l).ravel()[cols]
 
     def kappa2(times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        psi = spectral_function(values, times[..., None], "psi")
-        return psi @ weights.T
+        psi = spectral_function(delta, np.asarray(times, dtype=float)[..., None], "psi")
+        out = np.zeros(psi.shape[:-1] + kappa1.shape, dtype=complex)
+        out[..., rows] = psi @ weights.T
+        return out
 
     return TimeLocalGenerator(
         partition=partition, kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling

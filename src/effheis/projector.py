@@ -102,16 +102,6 @@ class ResonancePartition:
         w = self.eigenvalues
         return float(np.max(np.maximum.reduceat(w, self.bounds) - np.minimum.reduceat(w, self.bounds)))
 
-    @cached_property
-    def distinct_delta(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct entries of ``delta`` (entries whose frequency
-        differences agree to 1e-12 count once) and, for every entry, the
-        index of its representative among them."""
-        w = self.eigenvalues
-        diff = (w[:, None] - w[None, :]).ravel()
-        _, first, inverse = np.unique(np.round(diff, 12), return_index=True, return_inverse=True)
-        return -1j * diff[first], inverse.reshape(len(w), len(w))
-
     def project_eig(self, Y: np.ndarray) -> np.ndarray:
         """Average of a matrix given in the eigenbasis, in the original basis."""
         return self.decomposition.from_eigenbasis(np.where(self.mask, Y, 0.0))
@@ -169,11 +159,10 @@ def numeric_time_average(
     if X.shape[0] != eig.dim:
         raise DimensionMismatch(f"X dim {X.shape[0]} != generator dim {eig.dim}")
     s_grid = np.linspace(0.0, T, steps)
-    # one phase average per distinct commutator eigenvalue, one at a time: a
-    # (frequencies, steps) array would hold every phase at once
-    values, inverse = partition.distinct_delta
-    avg = np.array([np.trapezoid(np.exp(v * s_grid), s_grid) for v in values]) / T
-    return eig.from_eigenbasis(eig.to_eigenbasis(X) * avg[inverse])
+    # one phase average per commutator eigenvalue, one at a time: a
+    # (d, d, steps) array would hold every phase at once
+    avg = np.array([np.trapezoid(np.exp(v * s_grid), s_grid) for v in partition.delta.ravel()]) / T
+    return eig.from_eigenbasis(eig.to_eigenbasis(X) * avg.reshape(eig.dim, eig.dim))
 
 
 def free_moment_generator_hermitian(split: SplitHamiltonian, m: int) -> np.ndarray:

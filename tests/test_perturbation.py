@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,8 +276,7 @@ class TestCumulants:
 def dense_kappa2(partition, hI, kappa1, t):
     """Reference: kappa2(t) in M0's eigenbasis as the dense product it was
     before the weights, hI @ (hI * psi) restricted to the resonant blocks."""
-    values, inverse = partition.distinct_delta
-    psi = spectral_function(values, t, "psi")[inverse]
+    psi = spectral_function(partition.delta, t, "psi")
     return np.where(partition.mask, hI @ (hI * psi), 0) - t * kappa1 @ kappa1
 
 
@@ -321,6 +322,65 @@ class TestBatchedKappa2:
         batched = gen.kappa2_of_t(nodes)
         assert gen.kappa2_of_t(0.9).shape == batched.shape[1:]
         assert linalg.max_abs(gen.kappa2_of_t(0.9) - batched[1]) <= 1e-15
+
+
+def pinned_split(n, kind):
+    """H0 diagonal with frequencies linspace(1, 2.3, n), rotated (a random
+    valid fermion) or degenerate (frequencies 1, 2, 1, ...); HI a random
+    valid fermion."""
+    if kind == "diag":
+        base = eh.diagonal_modes(np.linspace(1.0, 2.3, n))
+    elif kind == "rotated":
+        base = random_valid_fermion(n, np.random.default_rng(11))
+    else:
+        base = eh.diagonal_modes([1.0 + j % 2 for j in range(n)])
+    return SplitHamiltonian(
+        base=base, interaction=random_valid_fermion(n, np.random.default_rng(1)), coupling=0.1
+    )
+
+
+PINNED_CASES = [(4, 2, "rotated"), (4, 2, "degenerate"), (3, 3, "diag")]
+
+
+class TestKappaFromSlots:
+    """kappa12 reads kappa1 and kappa2(t) off the 2n x 2n interaction and the
+    slot indices of the resonant entries; checked against the dense hI of
+    ``resonance_frame`` at sizes ``kappa2_cases`` never draws."""
+
+    @pytest.mark.parametrize("n, m, kind", PINNED_CASES)
+    def test_matches_dense_frame(self, n, m, kind):
+        split = pinned_split(n, kind)
+        gen = kappa12(split, m)
+        partition, hI = resonance_frame(split, m)
+        assert np.array_equal(gen.kappa1.view(np.uint64), hI[partition.resonant].view(np.uint64))
+        kappa1 = np.where(partition.mask, hI, 0.0)
+        nodes = np.linspace(0.0, 1.0, 2 * 5 + 1)
+        for t, entries in zip(nodes, gen.kappa2_of_t(nodes)):
+            want = dense_kappa2(partition, hI, kappa1, t)
+            diff = entries - want[partition.resonant]
+            assert linalg.max_abs(diff) <= 1e-14 * max(1.0, linalg.max_abs(want))
+
+    @pytest.mark.parametrize("n, m, kind", PINNED_CASES)
+    def test_eigenvalues_are_slot_sums(self, n, m, kind):
+        split = pinned_split(n, kind)
+        frame = kappa12(split, m).partition.decomposition
+        l = frame.slot_eigenvalues
+        # every slot sum, in Kronecker order, added slot by slot
+        sums = [sum(l[i] for i in digits) for digits in itertools.product(range(frame.k), repeat=m)]
+        np.testing.assert_array_equal(frame.eigenvalues, np.sort(sums))
+        # l in the column order of V1: K = V1 diag(l) V1^dag
+        K = split.base.single_particle_generator()
+        V1 = np.eye(frame.k) if frame.factor is None else frame.factor
+        assert linalg.max_abs(V1 @ np.diag(l) @ V1.conj().T - K) <= 1e-14 * (1 + linalg.max_abs(K))
+
+    def test_builds_no_dense_interaction(self, monkeypatch):
+        def refuse(K, m):
+            raise AssertionError(f"kron_sum of a {len(K)} x {len(K)} matrix over {m} slots")
+
+        monkeypatch.setattr(linalg, "kron_sum", refuse)
+        for kind in ("diag", "rotated"):
+            gen = kappa12(pinned_split(3, kind), 2)
+            assert gen.kappa2_of_t(np.linspace(0.0, 1.0, 5)).shape == (5, len(gen.kappa1))
 
 
 class TestExpansionProperties:
