@@ -45,18 +45,10 @@ from .linalg import (
     kron_sum,
     matrix_exponential,
 )
-from .perturbation import (
-    TimeLocalGenerator,
-    general_kappa,
-    kappa12,
-    mu1,
-    mu2_closed,
-    mu_k_quadrature,
-)
+from .perturbation import TimeLocalGenerator, kappa12
 from .projector import (
     ResonancePartition,
     effective_propagator,
-    numeric_time_average,
     project,
     resonance_partition,
 )

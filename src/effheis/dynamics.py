@@ -183,16 +183,19 @@ def integrate_time_local(
         nodes[0::2] = times
         nodes[1::2] = times[:-1] + dt / 2
         K = gen.kappa2_of_t(nodes)
-        K *= c**2
         # max_abs <= Frobenius norm, which V0 leaves unchanged: the exact
         # original-basis test runs only at the nodes where the bound fails
-        # (vecdot, unlike norm, makes no temporary the size of K)
-        for j in np.flatnonzero(np.sqrt(np.vecdot(K, K).real) * dt > 1.0):
-            worst = linalg.max_abs(part.to_original(K[j]))
-            if worst * dt > 1.0:
-                raise StepTooLarge(
-                    f"max_abs(coupling^2 kappa2({nodes[j]:.3g})) * dt = {worst * dt:.3g} > 1"
-                )
+        # (vecdot, unlike norm, makes no temporary the size of K).  A huge
+        # coupling overflows the square, the bound or the test to inf or
+        # NaN, which fails both comparisons
+        with np.errstate(over="ignore", invalid="ignore"):
+            K *= np.float64(c) ** 2
+            for j in np.flatnonzero(~(np.sqrt(np.vecdot(K, K).real) * dt <= 1.0)):
+                worst = linalg.max_abs(part.to_original(K[j]))
+                if not worst * dt <= 1.0:
+                    raise StepTooLarge(
+                        f"max_abs(coupling^2 kappa2({nodes[j]:.3g})) * dt = {worst * dt:.3g} > 1"
+                    )
 
     # i l1 = diag(lam) + i coupling kappa1, as resonant entries; these run
     # cluster by cluster, row-major, so cluster b's block is the s_b^2
@@ -248,7 +251,8 @@ def compare(a: PropagatorSeries, b: PropagatorSeries) -> dict:
         per_point = np.abs(diff).max(axis=1).tolist()
     else:
         per_point = [linalg.max_abs(part.to_original(e)) for e in diff]
-    return {"sup_error": max(per_point), "per_point": per_point}
+    # np.max, unlike max, propagates a NaN at any point
+    return {"sup_error": float(np.max(per_point)), "per_point": per_point}
 
 
 def order_estimate(

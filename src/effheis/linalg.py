@@ -89,6 +89,8 @@ def hermitian_eigendecompose(M: np.ndarray) -> HermitianEigenDecomposition:
     NotHermitian
         If ``max_abs(M - M†) > HERMITIAN_RTOL * (1 + max_abs(M))`` for some
         matrix of the stack.
+    Overflow
+        If ``M + M†`` overflows, as it does on entries near the float range.
     """
     M = as_matrix(M, stack=True)
     M_dag = M.conj().swapaxes(-1, -2)
@@ -96,7 +98,13 @@ def hermitian_eigendecompose(M: np.ndarray) -> HermitianEigenDecomposition:
     bad = residual > HERMITIAN_RTOL * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
     if bad.any():
         raise NotHermitian(f"hermiticity residual {residual[bad].max():.3e} exceeds tolerance")
-    w, V = np.linalg.eigh((M + M_dag) / 2)
+    # entries near the float range overflow M + M^dag, on which eigh fails
+    # or returns NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        M_sym = (M + M_dag) / 2
+    if not np.isfinite(M_sym).all():
+        raise Overflow(f"M + M^dag overflows at max_abs(M) = {max_abs(M):.3e}")
+    w, V = np.linalg.eigh(M_sym)
     # the largest-magnitude component of each column (the first on ties)
     top = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
     V /= top / np.abs(top)

@@ -1,11 +1,9 @@
-"""Time-convolutionless expansion of the projected interaction-picture
-propagator: Dyson moments mu_k, their closed forms at orders 1-2, the
-cumulant combinations kappa_k and the assembled time-local generator.
-
-All spectral-function sandwiches are evaluated entrywise in the eigenbasis
-of the Hermitian free generator M0 (h0 = -i M0), where the commutator
-superoperator [h0, . ] acts diagonally with eigenvalue
-delta_ab = -i (lam_a - lam_b) on the (a, b) entry.
+"""Time-convolutionless generator of the projected interaction-picture
+propagator: the spectral functions psi and phi and the first two cumulants,
+kappa1 and kappa2(t), read off the 2n x 2n single-particle interaction and
+held as resonant entries in the eigenbasis of the free moment generator
+(``kappa12``, ``TimeLocalGenerator``).  The literal Dyson-moment and
+cumulant forms they are checked against are in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
 from .errors import UnsupportedOrder
 from .fermion import SplitHamiltonian
 from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
@@ -52,80 +49,6 @@ def spectral_function(delta: np.ndarray, t, kind: str) -> np.ndarray:
         series += term
     out[small] = series * np.broadcast_to(t, z.shape)[small] ** shift
     return out
-
-
-def resonance_frame(
-    split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
-) -> tuple[ResonancePartition, np.ndarray]:
-    """Resonance partition of the free moment generator M0, and the
-    interaction moment generator hI = -i kron_sum(E HI, m) in M0's
-    eigenbasis V0 = V1^{(x)m} (columns sorted): that is
-    -i kron_sum(V1^dag E HI V1, m), rows and columns gathered in sort order."""
-    partition = free_moment_partition(split, m, tol)
-    frame = partition.decomposition
-    G = frame.factor_to_eigenbasis(split.interaction.single_particle_generator())
-    return partition, -1j * linalg.kron_sum(G, m)[np.ix_(frame.order, frame.order)]
-
-
-def mu1(
-    split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
-) -> Callable[[float], np.ndarray]:
-    """First Dyson moment mu_1(t) = t * P(hI)."""
-    partition, hI = resonance_frame(split, m, tol)
-    p_hI = partition.project_eig(hI)
-    return lambda t: t * p_hI
-
-
-def mu2_closed(
-    split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
-) -> Callable[[float], np.ndarray]:
-    """Second Dyson moment mu_2(t) = P(hI phi(t [h0, .]) hI), closed form."""
-    partition, hI = resonance_frame(split, m, tol)
-
-    def evaluate(t: float) -> np.ndarray:
-        weighted = hI * spectral_function(partition.delta, t, "phi")
-        return partition.project_eig(hI @ weighted)
-
-    return evaluate
-
-
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    # map from [-1, 1] to [0, 1]
-    return (x + 1) / 2, w / 2
-
-
-def mu_k_quadrature(
-    split: SplitHamiltonian,
-    m: int,
-    k: int,
-    t: float,
-    tol: float = DEFAULT_RESONANCE_TOL,
-    nodes: int = 64,
-) -> np.ndarray:
-    """Dyson moment mu_k(t) by nested Gauss-Legendre over the ordered simplex.
-
-    Independent of the closed forms; supported for k in {1, 2, 3}.
-    """
-    if k not in (1, 2, 3):
-        raise UnsupportedOrder(f"quadrature implemented for k <= 3, got {k}")
-    if nodes < 16:
-        raise ValueError("nodes must be >= 16")
-    partition, hI = resonance_frame(split, m, tol)
-    dim = len(hI)
-    x01, w01 = _gauss_legendre(nodes)
-
-    def nested(depth: int, upper: float) -> np.ndarray:
-        # integral over 0 <= t_1 <= ... <= t_depth <= upper of
-        # hI(t_depth) ... hI(t_1), in the eigenbasis
-        if depth == 0:
-            return np.eye(dim, dtype=complex)
-        acc = np.zeros((dim, dim), dtype=complex)
-        for xi, wi in zip(upper * x01, upper * w01):
-            acc += wi * ((hI * np.exp(-xi * partition.delta)) @ nested(depth - 1, xi))
-        return acc
-
-    return partition.project_eig(nested(k, t))
 
 
 @dataclass(frozen=True)
@@ -216,52 +139,3 @@ def kappa12(
     return TimeLocalGenerator(
         partition=partition, kappa1=kappa1, kappa2_of_t=kappa2, coupling=split.coupling
     )
-
-
-def _compositions(k: int):
-    """All tuples of positive integers summing to k, in lexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
-
-
-def general_kappa(
-    split: SplitHamiltonian,
-    m: int,
-    k: int,
-    t: float,
-    tol: float = DEFAULT_RESONANCE_TOL,
-    nodes: int = 32,
-) -> np.ndarray:
-    """Cumulant kappa_k(t) assembled from quadrature moments.
-
-    kappa_k = sum over compositions (k0, .., kq) of k with positive parts of
-    (-1)^q mudot_{k0} mu_{k1} ... mu_{kq}; the derivative mudot uses central
-    finite differences on the quadrature moments.  Cross-check only; k <= 3.
-    """
-    if k not in (1, 2, 3):
-        raise UnsupportedOrder(f"general_kappa implemented for k <= 3, got {k}")
-    step = abs(t) * 1e-5 if t != 0 else 1e-5
-    cache: dict[tuple[int, float], np.ndarray] = {}
-
-    def mu(j: int, tau: float) -> np.ndarray:
-        key = (j, tau)
-        if key not in cache:
-            cache[key] = mu_k_quadrature(split, m, j, tau, tol, nodes)
-        return cache[key]
-
-    def mudot(j: int, tau: float) -> np.ndarray:
-        return (mu(j, tau + step) - mu(j, tau - step)) / (2 * step)
-
-    dim = mu(1, t).shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for parts in _compositions(k):
-        q = len(parts) - 1
-        term = mudot(parts[0], t)
-        for kj in parts[1:]:
-            term = term @ mu(kj, t)
-        total += (-1) ** q * term
-    return total

@@ -1,7 +1,9 @@
 """Matrix-level averaging map: the long-time average of
 exp(h0 s) X exp(-h0 s) with h0 = -iM, M Hermitian, evaluated exactly as a
-spectral (resonant-block) projection, plus a finite-time quadrature
-cross-check and the effective moment propagator built on top of it.
+spectral (resonant-block) projection, and the resonance frame the moment
+path works in.  ``free_moment_generator_hermitian`` and
+``effective_propagator`` are dense references of the factored frame and of
+``exact_series``; only the tests and the benchmark call them.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ class ResonancePartition:
         """Mean eigenvalue of each cluster, in label order."""
         return np.add.reduceat(self.eigenvalues, self.bounds) / self.sizes
 
-    @property
-    def max_cluster_width(self) -> float:
-        w = self.eigenvalues
-        return float(np.max(np.maximum.reduceat(w, self.bounds) - np.minimum.reduceat(w, self.bounds)))
-
     def project_eig(self, Y: np.ndarray) -> np.ndarray:
         """Average of a matrix given in the eigenbasis, in the original basis."""
         return self.decomposition.from_eigenbasis(np.where(self.mask, Y, 0.0))
@@ -139,30 +136,6 @@ def project_with(X: np.ndarray, partition: ResonancePartition) -> np.ndarray:
 def project(X: np.ndarray, M: np.ndarray, tol: float = DEFAULT_RESONANCE_TOL) -> np.ndarray:
     """Long-time average of exp(-iMs) X exp(iMs): keep resonant entries only."""
     return project_with(X, resonance_partition(M, tol))
-
-
-def numeric_time_average(
-    X: np.ndarray, M: np.ndarray, T: float, steps: int
-) -> np.ndarray:
-    """Trapezoidal (1/T) integral of exp(-iMs) X exp(iMs) over [0, T].
-
-    Converges to project(X, M) at O(1/T) for generic spectra; kept as an
-    independent cross-check of the exact spectral projection.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    partition = resonance_partition(M)
-    eig = partition.decomposition
-    X = linalg.as_matrix(X)
-    if X.shape[0] != eig.dim:
-        raise DimensionMismatch(f"X dim {X.shape[0]} != generator dim {eig.dim}")
-    s_grid = np.linspace(0.0, T, steps)
-    # one phase average per commutator eigenvalue, one at a time: a
-    # (d, d, steps) array would hold every phase at once
-    avg = np.array([np.trapezoid(np.exp(v * s_grid), s_grid) for v in partition.delta.ravel()]) / T
-    return eig.from_eigenbasis(eig.to_eigenbasis(X) * avg.reshape(eig.dim, eig.dim))
 
 
 def free_moment_generator_hermitian(split: SplitHamiltonian, m: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Oracle cross-checks between the matrix-level reduction and the exact
 Fock-space computation, packaged for both the test suite and the CLI
 `verify` command.  Every check returns its worst residual; thresholds are
-applied by the caller.
+applied by the caller.  Every averaging check clusters at the run's
+resonance tolerance.  ``resonance_frame`` is the checks' dense moment frame,
+the d x d hI that ``perturbation.kappa12`` never builds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .fock import (
     quadratize,
     unitary_conjugation_superoperator,
 )
-from .perturbation import resonance_frame
 from .projector import (
     DEFAULT_RESONANCE_TOL,
     ResonancePartition,
@@ -102,15 +103,16 @@ def matrix_projector_law_residuals(
 
 
 def superoperator_law_residuals(
-    split: SplitHamiltonian, rng: np.random.Generator, samples: int = 10
+    split: SplitHamiltonian, rng: np.random.Generator, samples: int = 10,
+    tol: float = DEFAULT_RESONANCE_TOL,
 ) -> dict:
     """Fock-level projection laws on random superoperators.  H0hat is
-    partitioned once, and U(t) = exp(i t H0hat) is read off that partition;
-    each sample takes two projections, P(Phi) and then
+    partitioned once, at ``tol``, and U(t) = exp(i t H0hat) is read off that
+    partition; each sample takes two projections, P(Phi) and then
     P([P Phi, F_1 Phi, F_2 Phi]) as one stack."""
     rep = jordan_wigner(split.n)
     H0hat = quadratize(split.base, rep)
-    part = resonance_partition(H0hat)
+    part = resonance_partition(H0hat, tol)
     d = rep.dim
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0}
     Fs = np.array([unitary_conjugation_superoperator(U) for U in _free_evolutions(part)])
@@ -142,14 +144,29 @@ def moment_equivalence_residual(
 ) -> float:
     """Core equivalence: ``exact_series``'s averaged moment propagator applied
     to the operator tensor versus the Fock-oracle averaged conjugation."""
+    # exact_series first: it refuses (Overflow) a Hamiltonian too large to
+    # eigendecompose, before quadratize overflows on it
+    W = exact_series(split, m, TimeGrid(t, 1), tol).value(-1)
     rep = jordan_wigner(split.n)
     Hhat = quadratize(split.total(), rep)
     H0hat = quadratize(split.base, rep)
-    W = exact_series(split, m, TimeGrid(t, 1), tol).value(-1)
     products = operator_products(rep, m)
     oracle = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
     approx = np.tensordot(W, products, axes=1)
     return linalg.max_abs(oracle - approx)
+
+
+def resonance_frame(
+    split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
+) -> tuple[ResonancePartition, np.ndarray]:
+    """Resonance partition of the free moment generator M0, and the
+    interaction moment generator hI = -i kron_sum(E HI, m) in M0's
+    eigenbasis V0 = V1^{(x)m} (columns sorted): that is
+    -i kron_sum(V1^dag E HI V1, m), rows and columns gathered in sort order."""
+    partition = free_moment_partition(split, m, tol)
+    frame = partition.decomposition
+    G = frame.factor_to_eigenbasis(split.interaction.single_particle_generator())
+    return partition, -1j * linalg.kron_sum(G, m)[np.ix_(frame.order, frame.order)]
 
 
 def stationarity_residual(
@@ -197,7 +214,9 @@ def run_verification(split: SplitHamiltonian, m: int, seed: int = 0,
             matrix_projector_law_residuals(split, m, rng, tol=resonance_tol).values()
         ),
         "superoperator_laws": max(
-            superoperator_law_residuals(split, rng, samples=superop_samples).values()
+            superoperator_law_residuals(
+                split, rng, samples=superop_samples, tol=resonance_tol
+            ).values()
         ),
         "moment_equivalence": max(
             moment_equivalence_residual(split, m, t, resonance_tol) for t in (0.5, 1.0)

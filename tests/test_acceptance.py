@@ -24,13 +24,7 @@ from effheis.dynamics import (
     order_estimate,
 )
 from effheis.fermion import SplitHamiltonian
-from effheis.perturbation import (
-    general_kappa,
-    kappa12,
-    mu1,
-    mu2_closed,
-    mu_k_quadrature,
-)
+from effheis.perturbation import kappa12
 from effheis.verify import (
     heisenberg_reduction_residual,
     matrix_projector_law_residuals,
@@ -38,6 +32,7 @@ from effheis.verify import (
     stationarity_residual,
     superoperator_law_residuals,
 )
+from references import general_kappa, mu2_closed, mu_k_quadrature
 
 
 def scoreboard(number: int, name: str, ok: bool, detail: str = ""):

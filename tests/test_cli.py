@@ -244,6 +244,32 @@ class TestVerify:
         assert report["payload"]["all_pass"] is False
 
 
+class TestLargeCoupling:
+    """configs/two_mode.json at a coupling so large that the step guard's
+    bound (1e150), the coupling's square (1e160, 1e250) or the
+    eigendecomposition of H (1e308) overflows: refused with a typed error
+    and exit 1, never a NaN report or a traceback."""
+
+    @pytest.mark.parametrize("coupling, argv, error", [
+        (1e150, ["evolve", "--order", "2"], "StepTooLarge"),
+        (1e150, ["order-study", "--lambdas", "1e150,2e150,4e150"], "StepTooLarge"),
+        (1e160, ["evolve", "--order", "2"], "StepTooLarge"),
+        (1e160, ["order-study", "--lambdas", "1e160,2e160,4e160"], "StepTooLarge"),
+        (1e250, ["evolve", "--order", "2"], "StepTooLarge"),
+        (1e250, ["order-study", "--lambdas", "1e250,2e250,4e250"], "StepTooLarge"),
+        (1e308, ["evolve", "--order", "2"], "Overflow"),
+        (1e308, ["evolve", "--order", "exact"], "Overflow"),
+        (1e308, ["verify"], "Overflow"),
+    ])
+    def test_refused(self, tmp_path, capsys, coupling, argv, error):
+        data = json.loads(Path(config_path("two_mode.json")).read_text())
+        data["lambda"] = coupling
+        code, report = run(tmp_path, argv[0], "--config", write_config(tmp_path, data), *argv[1:])
+        err = capsys.readouterr().err
+        assert code == 1 and report is None
+        assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+
 class TestOrderStudy:
     LAMBDAS = "0.1,0.05,0.025"
 

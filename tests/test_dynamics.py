@@ -253,6 +253,14 @@ class TestIntegrateTimeLocal:
         with pytest.raises(StepTooLarge):
             integrate_time_local(gen, 2, TimeGrid(5.0, 1))
 
+    @pytest.mark.parametrize("coupling", [1e150, 1e160])
+    def test_step_too_large_where_the_guard_overflows(self, detuned_split, coupling):
+        # at 1e150 the Frobenius bound overflows to NaN, at 1e160 the
+        # coupling's square to inf; both must fail the guard
+        gen = kappa12(replace(detuned_split, coupling=coupling), 1)
+        with pytest.raises(StepTooLarge):
+            integrate_time_local(gen, 2, TimeGrid(1.0, 100))
+
     @pytest.mark.parametrize("order, evaluations", [(1, 0), (2, 2 * 20 + 1)])
     def test_kappa2_evaluated_once_per_node(self, detuned_split, order, evaluations):
         # the integrator reads kappa2(t) through the generator's closure, once
@@ -460,6 +468,13 @@ class TestCompare:
         a = PropagatorSeries(grid, self.SMALL, np.stack([self.EYE] * 3), "a")
         b = PropagatorSeries(grid, self.SMALL, np.stack([self.EYE, self.EYE + 0.5, self.EYE]), "b")
         assert compare(a, b)["sup_error"] == pytest.approx(0.5)
+
+    def test_nan_point_propagates(self):
+        # a NaN after the first point is the sup, not skipped
+        grid = TimeGrid(1.0, 2)
+        a = PropagatorSeries(grid, self.SMALL, np.stack([self.EYE] * 3), "a")
+        b = PropagatorSeries(grid, self.SMALL, np.stack([self.EYE, self.EYE, self.EYE * np.nan]), "b")
+        assert math.isnan(compare(a, b)["sup_error"])
 
     def test_grid_mismatch(self):
         a = PropagatorSeries(TimeGrid(1.0, 2), self.SMALL, np.stack([self.EYE] * 3), "a")

@@ -405,6 +405,22 @@ class TestRunVerification:
         result = run_verification(split, m, resonance_tol=1e-4)
         assert result["checks"]["moment_equivalence"]["residual"] <= 1e-8
 
+    def test_superoperator_laws_at_coarse_tolerance(self):
+        # H0hat has 3 resonance clusters at tol 1e-4 and 4 at 1e-9; the
+        # superoperator laws must run on the run's frame, as the matrix laws
+        # do.  On the coarse frame both hold only to about the 1e-6 cluster
+        # width (5.5e-6 and 7.5e-6), against round-off on the fine one
+        split = eh.SplitHamiltonian(
+            base=eh.diagonal_modes([1.0, 1.0 + 1e-6]),
+            interaction=eh.hopping(2, 1, 2, 0.1),
+            coupling=1.0,
+        )
+        coarse = run_verification(split, 1, resonance_tol=1e-4)["checks"]
+        fine = run_verification(split, 1, resonance_tol=1e-9)["checks"]
+        for name in ("matrix_laws", "superoperator_laws"):
+            assert coarse[name]["residual"] > 1e-7, name
+            assert fine[name]["residual"] <= 1e-10, name
+
 
 class TestOperatorProducts:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 3)])

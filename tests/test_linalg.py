@@ -53,6 +53,12 @@ class TestEigendecompose:
         with pytest.raises(NotHermitian):
             linalg.hermitian_eigendecompose(np.array([[0, 1], [0, 0]]))
 
+    def test_overflowing_input_is_overflow(self):
+        # finite entries whose M + M^dag overflows, on which numpy's eigh
+        # returns NaN or fails to converge
+        with pytest.raises(Overflow):
+            linalg.hermitian_eigendecompose(np.array([[1.0, 1e308], [1e308, 2.0]]))
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 24])
     def test_stack_matches_one_call_per_matrix(self, rng, dim):
         stack = np.array([random_hermitian(dim, rng, scale) for scale in (1e-3, 1.0, 50.0)])

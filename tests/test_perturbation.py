@@ -9,18 +9,10 @@ import effheis as eh
 from effheis import linalg
 from effheis.errors import UnsupportedOrder
 from effheis.fermion import SplitHamiltonian
-from effheis.perturbation import (
-    SERIES_SWITCH,
-    general_kappa,
-    kappa12,
-    mu1,
-    mu2_closed,
-    mu_k_quadrature,
-    resonance_frame,
-    spectral_function,
-)
+from effheis.perturbation import SERIES_SWITCH, kappa12, spectral_function
 from effheis.projector import free_moment_generator_hermitian, project, resonance_partition
-from effheis.verify import random_valid_fermion, stationarity_residual
+from effheis.verify import random_valid_fermion, resonance_frame, stationarity_residual
+from references import general_kappa, mu1, mu2_closed, mu_k_quadrature
 
 
 class TestSpectralFunction:
