@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateFit, FrameMismatch, GridMismatch, StepTooLarge, UnsupportedOrder
-from .fermion import SplitHamiltonian
+from .fermion import SplitHamiltonian, heisenberg_matrix
 from .perturbation import TimeLocalGenerator, kappa12
 from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
 
@@ -83,13 +83,11 @@ def exact_series(
     the product over the slots k of B(t)[a_k, c_k], B(t) = V1^dag O(t) V1,
     with (a_1, ..., a_m) the slot indices of column a.  Only the resonant
     entries, which P keeps, are formed, from one 2n x 2n eigendecomposition
-    of E H."""
+    of E H (``heisenberg_matrix``); it raises Overflow past the phase cap
+    t_end * max_abs(E H) > ``linalg.EXP_NORM_CAP``."""
     partition = free_moment_partition(split, m, tol)
     frame = partition.decomposition
-    times = grid.times
-    K = linalg.hermitian_eigendecompose(split.total().single_particle_generator())
-    phases = np.exp(-1j * np.multiply.outer(times, K.eigenvalues))
-    B = frame.factor_to_eigenbasis((K.basis * phases[:, None, :]) @ K.basis.conj().T)
+    B = frame.factor_to_eigenbasis(heisenberg_matrix(split.total(), grid.times))
     rows, cols = partition.resonant
     entries = 1.0
     for a, c in zip(frame.digits(rows), frame.digits(cols)):
@@ -161,8 +159,8 @@ def integrate_time_local(
     one step per grid interval, integrates
     dPhi/dt = exp(-l1 t) coupling^2 kappa2(t) exp(l1 t) Phi in l1's
     eigenbasis, reading kappa2 at every node (grid points and interval
-    midpoints) in one call; raises StepTooLarge if
-    max_abs(coupling^2 kappa2(t)) * dt > 1 at a node.
+    midpoints) in one call; raises StepTooLarge if coupling^2 overflows or
+    if max_abs(coupling^2 kappa2(t)) * dt > 1 at a node.
 
     Everything happens in M0's eigenbasis V0, where l1 = -i diag(lam) +
     coupling * kappa1 is block-diagonal over the resonance clusters.  The
@@ -178,6 +176,10 @@ def integrate_time_local(
     part, c = gen.partition, gen.coupling
     times, dt = grid.times, grid.dt
     if order == 2:
+        with np.errstate(over="ignore"):
+            c2 = np.float64(c) ** 2
+        if not np.isfinite(c2):
+            raise StepTooLarge(f"coupling^2 overflows at coupling = {c:.3g}")
         # every grid point and interval midpoint, in time order, in one call
         nodes = np.empty(2 * grid.steps + 1)
         nodes[0::2] = times
@@ -186,10 +188,10 @@ def integrate_time_local(
         # max_abs <= Frobenius norm, which V0 leaves unchanged: the exact
         # original-basis test runs only at the nodes where the bound fails
         # (vecdot, unlike norm, makes no temporary the size of K).  A huge
-        # coupling overflows the square, the bound or the test to inf or
-        # NaN, which fails both comparisons
+        # coupling overflows the bound or the test to inf or NaN, which
+        # fails both comparisons
         with np.errstate(over="ignore", invalid="ignore"):
-            K *= np.float64(c) ** 2
+            K *= c2
             for j in np.flatnonzero(~(np.sqrt(np.vecdot(K, K).real) * dt <= 1.0)):
                 worst = linalg.max_abs(part.to_original(K[j]))
                 if not worst * dt <= 1.0:
@@ -278,8 +280,9 @@ def order_estimate(
     errors = []
     for lam in lambdas:
         split_lam = replace(split, coupling=float(lam))
-        exact = exact_series(split_lam, m, grid, tol)
+        # the time-local series first: its step guard refuses before the exact cap
         approx = integrate_time_local(kappa12(split_lam, m, tol), order, grid)
+        exact = exact_series(split_lam, m, grid, tol)
         errors.append(compare(exact, approx)["sup_error"])
     if max(errors) <= ROUND_OFF:
         raise DegenerateFit(f"all errors at most {ROUND_OFF:.0e}; model is exactly solvable", errors)

@@ -9,7 +9,9 @@ gap) of Bohr frequencies e_i - e_j, the spectrum of L0 = [H0hat, .].  It
 reaches that eigenbasis by mode products with H0hat's eigenvectors V on each
 index of the (d, d, d, d) view, so the dense d^2 x d^2 basis V^* kron V of
 L0 is never formed.  ``averaged_unitary_moments`` applies that average to
-the conjugation superoperator of exp(i Hhat t).
+the conjugation superoperator of exp(i Hhat t), at every time off one
+eigendecomposition of Hhat.  Both take H0hat as its resonance partition
+(``projector.resonance_partition``), which holds the eigenbasis and the gap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, TooManyModes
 from .fermion import FermionHamiltonian, heisenberg_matrix
-from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, resonance_labels, resonance_partition
+from .projector import ResonancePartition, resonance_labels
 
 MAX_MODES = 6
 MAX_SUPEROP_MODES = 4
@@ -92,20 +94,10 @@ def quadratize(K: FermionHamiltonian, rep: FockRep) -> np.ndarray:
     return 0.5 * np.tensordot(K.H, rep.pair_products, axes=2)
 
 
-def _check_superop_modes(dim: int):
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise DimensionMismatch(f"dimension {dim} is not a power of two")
-    if n > MAX_SUPEROP_MODES:
-        raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
-
-
-def project_superoperator(
-    Phi: np.ndarray, H0hat, tol: float = DEFAULT_RESONANCE_TOL
-) -> np.ndarray:
+def project_superoperator(Phi: np.ndarray, part: ResonancePartition) -> np.ndarray:
     """Averaging projection of a superoperator given as a dim-4^n matrix, or
-    of each one of a stack (..., 4^n, 4^n).  H0hat is the free Fock
-    Hamiltonian or its resonance partition (``tol`` is then unused).
+    of each one of a stack (..., 4^n, 4^n), with ``part`` the resonance
+    partition of the free Fock Hamiltonian H0hat.
 
     Uses column-stacking vec so that the map Z -> A Z B is (B^T kron A).
     The projection is the long-time average under the Liouvillian
@@ -118,12 +110,12 @@ def project_superoperator(
     matrix (``linalg.kron_sandwich``), about 4 d^5 multiply-adds per side
     against the 2 d^6 of the dense W, which is never formed.
     """
-    if isinstance(H0hat, ResonancePartition):
-        part = H0hat
-    else:
-        part = resonance_partition(linalg.as_matrix(H0hat), tol)
     d = len(part.labels)
-    _check_superop_modes(d)
+    n = int(round(np.log2(d)))
+    if 2**n != d:
+        raise DimensionMismatch(f"dimension {d} is not a power of two")
+    if n > MAX_SUPEROP_MODES:
+        raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
     Phi = linalg.as_matrix(Phi, stack=True)
     if Phi.shape[-1] != d * d:
         raise DimensionMismatch(f"superoperator dim {Phi.shape[-1]} != {d * d}")
@@ -138,33 +130,32 @@ def project_superoperator(
 
 
 def unitary_conjugation_superoperator(U: np.ndarray) -> np.ndarray:
-    """Matrix (column-stacking vec) of Z -> U Z U^dag."""
-    return np.kron(U.conj(), U)
+    """Matrix (column-stacking vec) of Z -> U Z U^dag, U^* kron U, or the
+    stack of them for a stack (..., d, d) of U."""
+    *batch, d, _ = U.shape
+    return (U.conj()[..., :, None, :, None] * U[..., None, :, None, :]).reshape(*batch, d * d, d * d)
 
 
-def averaged_unitary_moments(
-    Hhat: np.ndarray,
-    H0hat: np.ndarray,
-    products,
-    t: float,
-    tol: float = DEFAULT_RESONANCE_TOL,
-) -> np.ndarray:
+def averaged_unitary_moments(Hhat: np.ndarray, part: ResonancePartition, products, t) -> np.ndarray:
     """Long-time average of M(s) X M(s)^dag over the free-frame shift s, for
     each operator product X = X_1 ... X_m in ``products``, where
-    M(s) = exp(i Hhat(s) t) is exp(i Hhat t) in the frame shifted by s.
+    M(s) = exp(i Hhat(s) t) is exp(i Hhat t) in the frame shifted by s and
+    ``part`` is the resonance partition of the free Fock Hamiltonian H0hat.
 
     X -> M X M^dag with M = exp(i Hhat t) is the superoperator M^* kron M,
     so its average is ``project_superoperator``'s, applied to the
-    column-stacked products.  Returns the stack of averages, one per product.
+    column-stacked products.  Returns the stack of averages, one per
+    product; for a sequence of times t, the stack (len(t), products, d, d),
+    with every exp(i Hhat t) read off one eigendecomposition of Hhat
+    (``linalg.unitary_propagators``).
     """
-    H0hat = linalg.as_matrix(H0hat)
-    _check_superop_modes(H0hat.shape[0])
     X = np.array([linalg.as_matrix(x) for x in products])
-    M = linalg.matrix_exponential(1j * t * linalg.as_matrix(Hhat))
-    PPhi = project_superoperator(unitary_conjugation_superoperator(M), H0hat, tol)
+    M = linalg.unitary_propagators(Hhat, t)
+    PPhi = project_superoperator(unitary_conjugation_superoperator(M), part)
     # column-stacking vec: vec X is X^T raveled, and vec Y = PPhi vec X
     vecX = X.swapaxes(-1, -2).reshape(len(X), -1)
-    return (vecX @ PPhi.T).reshape(X.shape).swapaxes(-1, -2)
+    averages = (vecX @ PPhi.swapaxes(-1, -2)).reshape(len(M), *X.shape).swapaxes(-1, -2)
+    return averages if np.ndim(t) else averages[0]
 
 
 def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t) -> float:
@@ -173,7 +164,7 @@ def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t) -> float:
 
     Hhat and E H are eigendecomposed once each: U(t) = exp(iHhat t) and
     O(t) = ``heisenberg_matrix`` at every t come from their phases, with
-    ``matrix_exponential``'s hermiticity check and ``Overflow`` cap.
+    ``linalg.unitary_propagators``' hermiticity check and ``Overflow`` cap.
     """
     if H.n != rep.n:
         raise DimensionMismatch("mode counts differ")

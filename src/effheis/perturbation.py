@@ -1,5 +1,5 @@
 """Time-convolutionless generator of the projected interaction-picture
-propagator: the spectral functions psi and phi and the first two cumulants,
+propagator: the spectral function psi and the first two cumulants,
 kappa1 and kappa2(t), read off the 2n x 2n single-particle interaction and
 held as resonant entries in the eigenbasis of the free moment generator
 (``kappa12``, ``TimeLocalGenerator``).  The literal Dyson-moment and
@@ -17,37 +17,32 @@ from .errors import UnsupportedOrder
 from .fermion import SplitHamiltonian
 from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
 
-# Below |z| = 1e-2 the six-term series is exact to round-off; above it the
-# expm1 forms lose at most ~eps / |z| of phi to cancellation.
+# Below |z| = 1e-2 the six-term series is exact to round-off.
 SERIES_SWITCH = 1e-2
 SERIES_TERMS = 6
 
 
-def spectral_function(delta: np.ndarray, t, kind: str) -> np.ndarray:
-    """psi(d, t) = (e^{td} - 1)/d or phi(d, t) = (e^{td} - 1 - td)/d^2.
+def spectral_function(delta: np.ndarray, t) -> np.ndarray:
+    """psi(d, t) = (e^{td} - 1)/d.
 
     Entrywise on an array of commutator eigenvalues, with ``t`` a scalar or
     an array that broadcasts against ``delta``; an entry with |td| below
     the switch threshold uses the truncated power series, which also covers
-    d = 0 (psi(0, t) = t, phi(0, t) = t^2 / 2).
+    d = 0 (psi(0, t) = t).
     """
-    if kind not in ("psi", "phi"):
-        raise ValueError(f"unknown spectral function kind {kind!r}")
     delta = np.asarray(delta, dtype=complex)
     z = t * delta
     small = np.abs(z) < SERIES_SWITCH
-    shift = 1 if kind == "psi" else 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        numerator = np.expm1(z) if kind == "psi" else np.expm1(z) - z
-        out = np.asarray(numerator / np.where(small, 1, delta) ** shift)
-    # series on the small entries: t^shift * sum_{k=0}^{5} z^k / (k + shift)!
+        out = np.asarray(np.expm1(z) / np.where(small, 1, delta))
+    # series on the small entries: t * sum_{k=0}^{5} z^k / (k + 1)!
     zs = z[small]
-    term = np.full_like(zs, 1.0 / shift)
+    term = np.ones_like(zs)
     series = term.copy()
     for k in range(1, SERIES_TERMS):
-        term = term * zs / (k + shift)
+        term = term * zs / (k + 1)
         series += term
-    out[small] = series * np.broadcast_to(t, z.shape)[small] ** shift
+    out[small] = series * np.broadcast_to(t, z.shape)[small]
     return out
 
 
@@ -131,7 +126,7 @@ def kappa12(
     weights, delta = weights[np.ix_(rows, cols)], -1j * np.subtract.outer(l, l).ravel()[cols]
 
     def kappa2(times) -> np.ndarray:
-        psi = spectral_function(delta, np.asarray(times, dtype=float)[..., None], "psi")
+        psi = spectral_function(delta, np.asarray(times, dtype=float)[..., None])
         out = np.zeros(psi.shape[:-1] + kappa1.shape, dtype=complex)
         out[..., rows] = psi @ weights.T
         return out

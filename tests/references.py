@@ -1,11 +1,12 @@
 """Literal references for the perturbative expansion and the averaging map,
-used only by the tests: the Dyson moments mu_k by closed form and by nested
-quadrature, the cumulants kappa_k assembled from quadrature moments, and the
-finite-time trapezoidal average.  The library evaluates the same quantities
-fast (``perturbation.kappa12``, ``projector.project``); these are the slow,
+used only by the tests: the spectral function phi of the second Dyson
+moment, the Dyson moments mu_k by closed form and by nested quadrature, the
+cumulants kappa_k assembled from quadrature moments, and the finite-time
+trapezoidal average.  The library evaluates the same quantities fast
+(``perturbation.kappa12``, ``projector.project``); these are the slow,
 independent forms they are checked against.
 
-All of them work on the dense d x d interaction hI of
+The moments and cumulants work on the dense d x d interaction hI of
 ``verify.resonance_frame``.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from effheis import linalg
 from effheis.errors import DimensionMismatch, UnsupportedOrder
 from effheis.fermion import SplitHamiltonian
-from effheis.perturbation import spectral_function
+from effheis.perturbation import SERIES_SWITCH, SERIES_TERMS
 from effheis.projector import DEFAULT_RESONANCE_TOL, resonance_partition
 from effheis.verify import resonance_frame
 
@@ -32,6 +33,28 @@ def mu1(
     return lambda t: t * p_hI
 
 
+def spectral_phi(delta: np.ndarray, t) -> np.ndarray:
+    """phi(d, t) = (e^{td} - 1 - td)/d^2, entrywise as
+    ``perturbation.spectral_function`` takes psi: an entry with |td| below
+    SERIES_SWITCH uses the truncated power series, which also covers d = 0
+    (phi(0, t) = t^2 / 2); above it the expm1 form loses at most
+    ~eps / |z| of phi to cancellation."""
+    delta = np.asarray(delta, dtype=complex)
+    z = t * delta
+    small = np.abs(z) < SERIES_SWITCH
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray((np.expm1(z) - z) / np.where(small, 1, delta) ** 2)
+    # series on the small entries: t^2 * sum_{k=0}^{5} z^k / (k + 2)!
+    zs = z[small]
+    term = np.full_like(zs, 1.0 / 2)
+    series = term.copy()
+    for k in range(1, SERIES_TERMS):
+        term = term * zs / (k + 2)
+        series += term
+    out[small] = series * np.broadcast_to(t, z.shape)[small] ** 2
+    return out
+
+
 def mu2_closed(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> Callable[[float], np.ndarray]:
@@ -39,7 +62,7 @@ def mu2_closed(
     partition, hI = resonance_frame(split, m, tol)
 
     def evaluate(t: float) -> np.ndarray:
-        weighted = hI * spectral_function(partition.delta, t, "phi")
+        weighted = hI * spectral_phi(partition.delta, t)
         return partition.project_eig(hI @ weighted)
 
     return evaluate

@@ -60,7 +60,7 @@ def test_03_moment_equivalence(offres_split):
     worst = 0.0
     for lam, m, t in itertools.product((0.05, 0.2), (1, 2), (0.5, 1.0, 2.0)):
         split = replace(offres_split, coupling=lam)
-        worst = max(worst, moment_equivalence_residual(split, m, t))
+        worst = max(worst, moment_equivalence_residual(split, m, TimeGrid(t, 1)))
     scoreboard(3, "averaged-propagator equivalence vs Fock oracle", worst < 1e-8,
                f"max residual {worst:.2e}")
 

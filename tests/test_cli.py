@@ -245,10 +245,12 @@ class TestVerify:
 
 
 class TestLargeCoupling:
-    """configs/two_mode.json at a coupling so large that the step guard's
-    bound (1e150), the coupling's square (1e160, 1e250) or the
-    eigendecomposition of H (1e308) overflows: refused with a typed error
-    and exit 1, never a NaN report or a traceback."""
+    """configs/two_mode.json at a coupling so large that the order-2 step
+    guard's bound (1e150) or the coupling's square (1e160 and up) overflows,
+    or that the phases t * w of the exact series exceed the exponential cap
+    and keep no significant digit: refused with a typed error and exit 1,
+    never a NaN or noise report or a traceback.  The order-2 commands build
+    their series before the exact one, so they meet the step guard."""
 
     @pytest.mark.parametrize("coupling, argv, error", [
         (1e150, ["evolve", "--order", "2"], "StepTooLarge"),
@@ -257,9 +259,11 @@ class TestLargeCoupling:
         (1e160, ["order-study", "--lambdas", "1e160,2e160,4e160"], "StepTooLarge"),
         (1e250, ["evolve", "--order", "2"], "StepTooLarge"),
         (1e250, ["order-study", "--lambdas", "1e250,2e250,4e250"], "StepTooLarge"),
-        (1e308, ["evolve", "--order", "2"], "Overflow"),
+        (1e308, ["evolve", "--order", "2"], "StepTooLarge"),
         (1e308, ["evolve", "--order", "exact"], "Overflow"),
         (1e308, ["verify"], "Overflow"),
+        (1e150, ["evolve", "--order", "exact"], "Overflow"),
+        (1e150, ["evolve", "--order", "1"], "Overflow"),
     ])
     def test_refused(self, tmp_path, capsys, coupling, argv, error):
         data = json.loads(Path(config_path("two_mode.json")).read_text())

@@ -253,13 +253,16 @@ class TestIntegrateTimeLocal:
         with pytest.raises(StepTooLarge):
             integrate_time_local(gen, 2, TimeGrid(5.0, 1))
 
-    @pytest.mark.parametrize("coupling", [1e150, 1e160])
+    @pytest.mark.parametrize("coupling", [1e150, 1e160, 1e250])
     def test_step_too_large_where_the_guard_overflows(self, detuned_split, coupling):
-        # at 1e150 the Frobenius bound overflows to NaN, at 1e160 the
-        # coupling's square to inf; both must fail the guard
+        # at 1e150 the Frobenius bound overflows to NaN, and the guard fails;
+        # from 1e160 on the coupling's square overflows, which is refused by
+        # name: kappa2(0) = 0, so 0 * inf must not reach the message as NaN
         gen = kappa12(replace(detuned_split, coupling=coupling), 1)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge) as refused:
             integrate_time_local(gen, 2, TimeGrid(1.0, 100))
+        assert "nan" not in str(refused.value).lower()
+        assert (f"coupling = {coupling:.3g}" in str(refused.value)) == (coupling > 1e155)
 
     @pytest.mark.parametrize("order, evaluations", [(1, 0), (2, 2 * 20 + 1)])
     def test_kappa2_evaluated_once_per_node(self, detuned_split, order, evaluations):

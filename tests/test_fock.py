@@ -5,6 +5,7 @@ import pytest
 
 import effheis as eh
 from effheis import linalg
+from effheis.dynamics import TimeGrid
 from effheis.errors import DimensionMismatch, Overflow, TooManyModes
 from effheis.fock import (
     averaged_unitary_moments,
@@ -22,6 +23,7 @@ from effheis.projector import (
 )
 from effheis.verify import (
     matrix_projector_law_residuals,
+    moment_equivalence_residual,
     operator_products,
     random_complex,
     random_valid_fermion,
@@ -207,7 +209,8 @@ class TestMaskMatchesClusterLoops:
         for H0hat in free_hamiltonians(n, rng):
             Phi = random_complex(d * d, rng)
             want = loop_project_superoperator(Phi, H0hat)
-            assert linalg.max_abs(project_superoperator(Phi, H0hat) - want) < 1e-12
+            got = project_superoperator(Phi, resonance_partition(H0hat))
+            assert linalg.max_abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_averaged_unitary_moments(self, rng, n):
@@ -215,7 +218,7 @@ class TestMaskMatchesClusterLoops:
         Hhat = quadratize(random_valid_fermion(n, rng), jordan_wigner(n))
         for H0hat in free_hamiltonians(n, rng):
             products = [random_complex(d, rng) for _ in range(3)]
-            got = averaged_unitary_moments(Hhat, H0hat, products, 0.7)
+            got = averaged_unitary_moments(Hhat, resonance_partition(H0hat), products, 0.7)
             for X, average in zip(products, got, strict=True):
                 want = loop_averaged_conjugation(Hhat, H0hat, X, 0.7)
                 assert linalg.max_abs(average - want) < 1e-12
@@ -254,7 +257,8 @@ class TestLiouvillianReference:
         L0, tol_l = liouvillian(H0hat, tol)
         Phi = random_complex(len(L0), rng)
         want = project(Phi, L0, tol_l)
-        assert linalg.max_abs(project_superoperator(Phi, H0hat, tol) - want) <= 1e-12
+        got = project_superoperator(Phi, resonance_partition(H0hat, tol))
+        assert linalg.max_abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("case", ["random", "degenerate", "chain"])
     def test_averaged_unitary_moments(self, rng, case):
@@ -266,7 +270,7 @@ class TestLiouvillianReference:
         M = linalg.matrix_exponential(1j * t * Hhat)
         averaged = project(np.kron(M.conj(), M), L0, tol_l)
         products = [random_complex(d, rng) for _ in range(3)]
-        got = averaged_unitary_moments(Hhat, H0hat, products, t, tol)
+        got = averaged_unitary_moments(Hhat, resonance_partition(H0hat, tol), products, t)
         for X, average in zip(products, got, strict=True):
             want = (averaged @ X.flatten(order="F")).reshape((d, d), order="F")
             assert linalg.max_abs(average - want) <= 1e-12
@@ -278,9 +282,9 @@ class TestProjectSuperoperator:
         d = 2**n
         for H0hat in free_hamiltonians(n, rng):
             Phis = np.array([random_complex(d * d, rng) for _ in range(3)])
-            got = project_superoperator(Phis, H0hat)
-            assert got.shape == Phis.shape
             part = resonance_partition(H0hat)
+            got = project_superoperator(Phis, part)
+            assert got.shape == Phis.shape
             for Phi, average in zip(Phis, got, strict=True):
                 assert linalg.max_abs(average - dense_project_superoperator(Phi, H0hat)) <= 1e-12
                 assert linalg.max_abs(average - project_superoperator(Phi, part)) <= 1e-12
@@ -289,41 +293,41 @@ class TestProjectSuperoperator:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            project_superoperator(np.eye(9), np.zeros((2, 2)))
+            project_superoperator(np.eye(9), resonance_partition(np.zeros((2, 2))))
 
     def test_trivial_free_hamiltonian(self, rng):
         Phi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = project_superoperator(Phi, np.zeros((2, 2)))
+        out = project_superoperator(Phi, resonance_partition(np.zeros((2, 2))))
         np.testing.assert_allclose(out, Phi, atol=1e-12)
 
     def test_identity_map_is_fixed(self):
-        H0hat = np.diag([0.0, 1.0, 2.0, 3.0])
-        out = project_superoperator(np.eye(16), H0hat)
+        part = resonance_partition(np.diag([0.0, 1.0, 2.0, 3.0]))
+        out = project_superoperator(np.eye(16), part)
         assert linalg.max_abs(out - np.eye(16)) < 1e-12
 
     def test_idempotent(self, rng):
-        H0hat = np.diag([0.0, 1.0, 2.0, 3.0])
+        part = resonance_partition(np.diag([0.0, 1.0, 2.0, 3.0]))
         Phi = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        once = project_superoperator(Phi, H0hat)
-        twice = project_superoperator(once, H0hat)
+        once = project_superoperator(Phi, part)
+        twice = project_superoperator(once, part)
         assert linalg.max_abs(twice - once) < 1e-10
 
     def test_mode_cap(self):
         with pytest.raises(TooManyModes):
-            project_superoperator(np.eye(32**2), np.zeros((32, 32)))
+            project_superoperator(np.eye(32**2), resonance_partition(np.zeros((32, 32))))
 
 
 class TestAveragedUnitaryMoments:
     def test_commuting_case(self):
         # Hhat diagonal in the H0hat eigenbasis: averaging leaves the
         # conjugation untouched
-        H0hat = np.diag([0.0, 1.0, 2.0, 3.0])
+        part = resonance_partition(np.diag([0.0, 1.0, 2.0, 3.0]))
         Hhat = np.diag([0.5, -0.3, 0.2, 0.9])
         X = np.diag([1.0, 2.0, 3.0, 4.0])
         t = 0.8
         M = linalg.matrix_exponential(1j * t * Hhat)
         want = M @ X @ M.conj().T
-        got = averaged_unitary_moments(Hhat, H0hat, [X], t)[0]
+        got = averaged_unitary_moments(Hhat, part, [X], t)[0]
         assert linalg.max_abs(got - want) < 1e-12
 
     def test_t0_is_identity(self, rng):
@@ -331,7 +335,7 @@ class TestAveragedUnitaryMoments:
         # so the average returns X unchanged
         H0hat = np.diag([0.0, 1.0, 1.0, 2.0])
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        got = averaged_unitary_moments(H0hat, H0hat, [X], 0.0)[0]
+        got = averaged_unitary_moments(H0hat, resonance_partition(H0hat), [X], 0.0)[0]
         assert linalg.max_abs(got - X) < 1e-12
 
     def test_matches_projected_superoperator(self, rng):
@@ -344,17 +348,28 @@ class TestAveragedUnitaryMoments:
         Phi = unitary_conjugation_superoperator(
             linalg.matrix_exponential(1j * t * Hhat)
         )
-        PPhi = project_superoperator(Phi, H0hat)
+        part = resonance_partition(H0hat)
+        PPhi = project_superoperator(Phi, part)
         want = (PPhi @ X.flatten(order="F")).reshape((4, 4), order="F")
-        got = averaged_unitary_moments(Hhat, H0hat, [X], t)[0]
+        got = averaged_unitary_moments(Hhat, part, [X], t)[0]
         assert linalg.max_abs(got - want) < 1e-10
 
     def test_operator_product_tensor_reduction(self, offres_split):
         # tensor form of the moment average: for X = c_a c_b the average of
         # the conjugated product matches the projected kron-propagator row
-        from effheis.verify import moment_equivalence_residual
+        assert moment_equivalence_residual(offres_split, 2, TimeGrid(0.9, 1)) < 1e-8
 
-        assert moment_equivalence_residual(offres_split, 2, 0.9) < 1e-8
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_moment_equivalence_grid_is_worst_time(self, m):
+        # one setup for both grid points gives the larger of the residuals
+        # that one setup per time gives
+        rng = np.random.default_rng(m)
+        split = eh.SplitHamiltonian(
+            base=random_valid_fermion(3, rng), interaction=random_valid_fermion(3, rng),
+            coupling=0.2,
+        )
+        each = [moment_equivalence_residual(split, m, TimeGrid(t, 1)) for t in (0.5, 1.0)]
+        assert moment_equivalence_residual(split, m, TimeGrid(1.0, 2)) == max(each)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_kernel_reference(self, rng, n):
@@ -362,15 +377,29 @@ class TestAveragedUnitaryMoments:
         Hhat = quadratize(random_valid_fermion(n, rng), jordan_wigner(n))
         for H0hat in free_hamiltonians(n, rng):
             products = [random_complex(d, rng) for _ in range(3)]
-            got = averaged_unitary_moments(Hhat, H0hat, products, 0.7)
+            got = averaged_unitary_moments(Hhat, resonance_partition(H0hat), products, 0.7)
             want = kernel_averaged_unitary_moments(Hhat, H0hat, products, 0.7)
             assert linalg.max_abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_times_match_kernel_reference(self, rng, n):
+        # every time read off one eigendecomposition of Hhat, each equal to
+        # the reference at that time alone
+        d, times = 2**n, (0.3, 0.7, 1.6)
+        Hhat = quadratize(random_valid_fermion(n, rng), jordan_wigner(n))
+        for H0hat in free_hamiltonians(n, rng):
+            products = [random_complex(d, rng) for _ in range(3)]
+            got = averaged_unitary_moments(Hhat, resonance_partition(H0hat), products, times)
+            assert got.shape == (len(times), 3, d, d)
+            for t, average in zip(times, got, strict=True):
+                want = kernel_averaged_unitary_moments(Hhat, H0hat, products, t)
+                assert linalg.max_abs(average - want) <= 1e-13
 
     def test_dimension_mismatch(self, rng):
         Hhat = quadratize(random_valid_fermion(2, rng), jordan_wigner(2))
         H0hat = quadratize(eh.diagonal_modes([1.0, 2.0, 3.0]), jordan_wigner(3))
         with pytest.raises(DimensionMismatch):
-            averaged_unitary_moments(Hhat, H0hat, [np.eye(4)], 0.5)
+            averaged_unitary_moments(Hhat, resonance_partition(H0hat), [np.eye(4)], 0.5)
 
     def test_numeric_flag_agrees_roughly(self, rng):
         H = random_valid_fermion(2, rng)
@@ -378,7 +407,7 @@ class TestAveragedUnitaryMoments:
         rep = jordan_wigner(2)
         Hhat, H0hat = quadratize(H, rep), quadratize(H0, rep)
         X = rep.annihilators[0]
-        exact = averaged_unitary_moments(Hhat, H0hat, [X], 0.6)[0]
+        exact = averaged_unitary_moments(Hhat, resonance_partition(H0hat), [X], 0.6)[0]
         approx = finite_time_averaged_conjugation(Hhat, H0hat, X, 0.6, T=500.0, steps=50000)
         assert linalg.max_abs(exact - approx) < 5e-3
 

@@ -12,18 +12,20 @@ from effheis.fermion import SplitHamiltonian
 from effheis.perturbation import SERIES_SWITCH, kappa12, spectral_function
 from effheis.projector import free_moment_generator_hermitian, project, resonance_partition
 from effheis.verify import random_valid_fermion, resonance_frame, stationarity_residual
-from references import general_kappa, mu1, mu2_closed, mu_k_quadrature
+from references import general_kappa, mu1, mu2_closed, mu_k_quadrature, spectral_phi
+
+SPECTRAL = {"psi": spectral_function, "phi": spectral_phi}
 
 
 class TestSpectralFunction:
     def test_zero_limits(self):
         t = 0.8
-        assert spectral_function(np.array(0.0), t, "psi") == pytest.approx(t)
-        assert spectral_function(np.array(0.0), t, "phi") == pytest.approx(t**2 / 2)
+        assert spectral_function(np.array(0.0), t) == pytest.approx(t)
+        assert spectral_phi(np.array(0.0), t) == pytest.approx(t**2 / 2)
 
     def test_scalar_value(self):
         d = -2j
-        got = spectral_function(np.array(d), 1.0, "psi")
+        got = spectral_function(np.array(d), 1.0)
         assert abs(got - (np.exp(d) - 1) / d) < 1e-12
 
     def test_series_matches_closed_form(self):
@@ -33,10 +35,8 @@ class TestSpectralFunction:
         t = 1.0
         z = SERIES_SWITCH * 0.5j
         tz = t * z
-        assert abs(spectral_function(np.array(z), t, "psi") - (np.exp(tz) - 1) / z) < 1e-12
-        assert abs(
-            spectral_function(np.array(z), t, "phi") - (np.exp(tz) - 1 - tz) / z**2
-        ) < 1e-7
+        assert abs(spectral_function(np.array(z), t) - (np.exp(tz) - 1) / z) < 1e-12
+        assert abs(spectral_phi(np.array(z), t) - (np.exp(tz) - 1 - tz) / z**2) < 1e-7
 
     @pytest.mark.parametrize("kind", ["psi", "phi"])
     def test_matches_mpmath(self, kind):
@@ -47,7 +47,7 @@ class TestSpectralFunction:
         t = 0.7
         radii = np.geomspace(1e-8, 30.0, 301)
         delta = np.concatenate([radii * np.exp(1j * angle) / t for angle in (np.pi / 2, 0.3, 2.5)])
-        got = spectral_function(delta, t, kind)
+        got = SPECTRAL[kind](delta, t)
         worst = 0.0
         with mpmath.workdps(50):
             for d, value in zip(delta, got):
@@ -60,10 +60,6 @@ class TestSpectralFunction:
                 worst = max(worst, float(abs(value - ref) / abs(ref)))
         assert worst <= 1e-13
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            spectral_function(np.array(0.0), 1.0, "chi")
-
     @pytest.mark.parametrize("kind", ["psi", "phi"])
     def test_array_t_bit_identical_to_scalar_calls(self, kind):
         # |t d| from 0 to 20, on both sides of the series switch
@@ -71,8 +67,8 @@ class TestSpectralFunction:
         times = np.array([0.0, 1e-3, 0.05, 0.7, 1.0])
         small = np.abs(times[:, None] * delta) < SERIES_SWITCH
         assert small.any() and not small.all()
-        got = spectral_function(delta, times[:, None], kind)
-        want = np.array([spectral_function(delta, float(t), kind) for t in times])
+        got = SPECTRAL[kind](delta, times[:, None])
+        want = np.array([SPECTRAL[kind](delta, float(t)) for t in times])
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -112,7 +108,7 @@ def apply_ad_function(hI, M, t, kind):
     """F(t [h0, .]) hI with h0 = -iM, entrywise in the partition's eigenbasis."""
     part = resonance_partition(M)
     eig = part.decomposition
-    return eig.from_eigenbasis(eig.to_eigenbasis(hI) * spectral_function(part.delta, t, kind))
+    return eig.from_eigenbasis(eig.to_eigenbasis(hI) * SPECTRAL[kind](part.delta, t))
 
 
 class TestApplyAdFunction:
@@ -268,7 +264,7 @@ class TestCumulants:
 def dense_kappa2(partition, hI, kappa1, t):
     """Reference: kappa2(t) in M0's eigenbasis as the dense product it was
     before the weights, hI @ (hI * psi) restricted to the resonant blocks."""
-    psi = spectral_function(partition.delta, t, "psi")
+    psi = spectral_function(partition.delta, t)
     return np.where(partition.mask, hI @ (hI * psi), 0) - t * kappa1 @ kappa1
 
 

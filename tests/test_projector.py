@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import effheis as eh
 from effheis import linalg
+from effheis.dynamics import TimeGrid
 from effheis.errors import DimensionMismatch, NotHermitian
 from effheis.fermion import SplitHamiltonian
 from effheis.projector import (
@@ -292,4 +293,4 @@ class TestEffectivePropagator:
             assert linalg.max_abs(W @ U - U @ W) < 1e-10
 
     def test_matches_fock_oracle(self, offres_split):
-        assert moment_equivalence_residual(offres_split, 1, 1.0) < 1e-8
+        assert moment_equivalence_residual(offres_split, 1, TimeGrid(1.0, 1)) < 1e-8
