@@ -126,7 +126,6 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
         free = exact_series(replace(split, coupling=0.0), cfg.m, grid, cfg.resonance_tol)
         comparison = {"sup_error_vs_free": compare(series, free)["sup_error"]}
     else:
-        # the requested series first: its step guard refuses before the exact cap
         series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), args.order, grid)
         exact = exact_series(split, cfg.m, grid, cfg.resonance_tol)
         comparison = {"sup_error_vs_exact": compare(exact, series)["sup_error"]}

@@ -17,13 +17,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateFit, FrameMismatch, GridMismatch, StepTooLarge, UnsupportedOrder
-from .fermion import SplitHamiltonian, heisenberg_matrix
+from .errors import DegenerateFit, FrameMismatch, GridMismatch, Overflow, StepTooLarge, UnsupportedOrder
+from .fermion import SplitHamiltonian
 from .perturbation import TimeLocalGenerator, kappa12
 from .projector import DEFAULT_RESONANCE_TOL, ResonancePartition, free_moment_partition
 
 # an order study is degenerate when every error sits at round-off
 ROUND_OFF = 1e-13
+# past this, a phase t * w is known to eps * 1e15 ~ 0.2 rad: exp(-iwt) keeps no digit
+PHASE_CAP = 1e15
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,15 @@ def exact_series(
     the product over the slots k of B(t)[a_k, c_k], B(t) = V1^dag O(t) V1,
     with (a_1, ..., a_m) the slot indices of column a.  Only the resonant
     entries, which P keeps, are formed, from one 2n x 2n eigendecomposition
-    of E H (``heisenberg_matrix``); it raises Overflow past the phase cap
-    t_end * max_abs(E H) > ``linalg.EXP_NORM_CAP``."""
+    of E H with eigenvalues w; raises Overflow if t_end * max|w| > PHASE_CAP."""
     partition = free_moment_partition(split, m, tol)
     frame = partition.decomposition
-    B = frame.factor_to_eigenbasis(heisenberg_matrix(split.total(), grid.times))
+    K = linalg.hermitian_eigendecompose(split.total().single_particle_generator())
+    phase = grid.t_end * float(np.max(np.abs(K.eigenvalues)))
+    if not phase <= PHASE_CAP:
+        raise Overflow(f"phase t_end * max|w| = {phase:.3e} exceeds cap {PHASE_CAP:.0e}")
+    phases = np.exp(-1j * np.multiply.outer(grid.times, K.eigenvalues))
+    B = frame.factor_to_eigenbasis((K.basis * phases[:, None, :]) @ K.basis.conj().T)
     rows, cols = partition.resonant
     entries = 1.0
     for a, c in zip(frame.digits(rows), frame.digits(cols)):
@@ -176,9 +182,8 @@ def integrate_time_local(
     part, c = gen.partition, gen.coupling
     times, dt = grid.times, grid.dt
     if order == 2:
-        with np.errstate(over="ignore"):
-            c2 = np.float64(c) ** 2
-        if not np.isfinite(c2):
+        c2 = float(c) * float(c)  # a Python float product overflows to inf silently
+        if not c2 < np.inf:
             raise StepTooLarge(f"coupling^2 overflows at coupling = {c:.3g}")
         # every grid point and interval midpoint, in time order, in one call
         nodes = np.empty(2 * grid.steps + 1)
@@ -270,7 +275,9 @@ def order_estimate(
     Errors are between the exact projected propagator and the order-truncated
     time-local integration.  The integration exponentiates h0 + lambda kappa1
     exactly, so on an exactly solvable model (kappa2 = 0) only round-off is
-    left; raises DegenerateFit when every error is at most ROUND_OFF.
+    left; raises DegenerateFit when every error is at most ROUND_OFF.  Here
+    and in ``cli``'s evolve the truncated series is built before the exact
+    one: a coupling too large for both meets the step guard (StepTooLarge).
     """
     lambdas = list(lambdas)
     if len(lambdas) < 3:
@@ -280,7 +287,6 @@ def order_estimate(
     errors = []
     for lam in lambdas:
         split_lam = replace(split, coupling=float(lam))
-        # the time-local series first: its step guard refuses before the exact cap
         approx = integrate_time_local(kappa12(split_lam, m, tol), order, grid)
         exact = exact_series(split_lam, m, grid, tol)
         errors.append(compare(exact, approx)["sup_error"])

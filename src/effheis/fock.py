@@ -9,9 +9,7 @@ gap) of Bohr frequencies e_i - e_j, the spectrum of L0 = [H0hat, .].  It
 reaches that eigenbasis by mode products with H0hat's eigenvectors V on each
 index of the (d, d, d, d) view, so the dense d^2 x d^2 basis V^* kron V of
 L0 is never formed.  ``averaged_unitary_moments`` applies that average to
-the conjugation superoperator of exp(i Hhat t), at every time off one
-eigendecomposition of Hhat.  Both take H0hat as its resonance partition
-(``projector.resonance_partition``), which holds the eigenbasis and the gap.
+the conjugation superoperator of exp(i Hhat t); both take H0hat's partition.
 """
 
 from __future__ import annotations
@@ -94,6 +92,14 @@ def quadratize(K: FermionHamiltonian, rep: FockRep) -> np.ndarray:
     return 0.5 * np.tensordot(K.H, rep.pair_products, axes=2)
 
 
+def _check_superop_modes(dim: int):
+    n = int(round(np.log2(dim)))
+    if 2**n != dim:
+        raise DimensionMismatch(f"dimension {dim} is not a power of two")
+    if n > MAX_SUPEROP_MODES:
+        raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
+
+
 def project_superoperator(Phi: np.ndarray, part: ResonancePartition) -> np.ndarray:
     """Averaging projection of a superoperator given as a dim-4^n matrix, or
     of each one of a stack (..., 4^n, 4^n), with ``part`` the resonance
@@ -111,11 +117,7 @@ def project_superoperator(Phi: np.ndarray, part: ResonancePartition) -> np.ndarr
     against the 2 d^6 of the dense W, which is never formed.
     """
     d = len(part.labels)
-    n = int(round(np.log2(d)))
-    if 2**n != d:
-        raise DimensionMismatch(f"dimension {d} is not a power of two")
-    if n > MAX_SUPEROP_MODES:
-        raise TooManyModes(f"n={n} exceeds superoperator cap {MAX_SUPEROP_MODES}")
+    _check_superop_modes(d)
     Phi = linalg.as_matrix(Phi, stack=True)
     if Phi.shape[-1] != d * d:
         raise DimensionMismatch(f"superoperator dim {Phi.shape[-1]} != {d * d}")
@@ -144,11 +146,11 @@ def averaged_unitary_moments(Hhat: np.ndarray, part: ResonancePartition, product
 
     X -> M X M^dag with M = exp(i Hhat t) is the superoperator M^* kron M,
     so its average is ``project_superoperator``'s, applied to the
-    column-stacked products.  Returns the stack of averages, one per
-    product; for a sequence of times t, the stack (len(t), products, d, d),
-    with every exp(i Hhat t) read off one eigendecomposition of Hhat
-    (``linalg.unitary_propagators``).
+    column-stacked products, one average per product; for a sequence of
+    times t, one such stack per time, all read off one eigendecomposition
+    of Hhat (``linalg.unitary_propagators``).
     """
+    _check_superop_modes(len(part.labels))
     X = np.array([linalg.as_matrix(x) for x in products])
     M = linalg.unitary_propagators(Hhat, t)
     PPhi = project_superoperator(unitary_conjugation_superoperator(M), part)

@@ -37,7 +37,6 @@ from .projector import (
 )
 
 HEISENBERG_TIMES = (0.3, 1.0, 2.5)
-# moment equivalence is checked at the grid points after t = 0: 0.5 and 1.0
 MOMENT_EQUIVALENCE_GRID = TimeGrid(1.0, 2)
 STATIONARITY_PAIRS = ((0.2, 0.9), (1.3, 0.4))
 

@@ -247,10 +247,11 @@ class TestVerify:
 class TestLargeCoupling:
     """configs/two_mode.json at a coupling so large that the order-2 step
     guard's bound (1e150) or the coupling's square (1e160 and up) overflows,
-    or that the phases t * w of the exact series exceed the exponential cap
-    and keep no significant digit: refused with a typed error and exit 1,
-    never a NaN or noise report or a traceback.  The order-2 commands build
-    their series before the exact one, so they meet the step guard."""
+    that the phases t * w of the exact series keep no significant digit
+    (t_end * max|w| > PHASE_CAP), or that the eigendecomposition of H
+    overflows (1e308): refused with a typed error and exit 1, never a noise
+    report or a traceback.  The order-2 commands build their series before
+    the exact one (``dynamics.order_estimate``), so they meet the step guard."""
 
     @pytest.mark.parametrize("coupling, argv, error", [
         (1e150, ["evolve", "--order", "2"], "StepTooLarge"),
@@ -272,6 +273,17 @@ class TestLargeCoupling:
         err = capsys.readouterr().err
         assert code == 1 and report is None
         assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("order", ["exact", "1"])
+    def test_long_time_evolves(self, tmp_path, order):
+        # t_end * max_abs(E H) = 2e4, past linalg.EXP_NORM_CAP: the phases
+        # still hold about 12 digits, so the run is not refused
+        data = json.loads(Path(config_path("two_mode.json")).read_text())
+        data["grid"] = {"t_end": 1e4, "steps": 100}
+        code, report = run(tmp_path, "evolve", "--config", write_config(tmp_path, data),
+                           "--order", order)
+        assert code == 0
+        assert np.isfinite(report["payload"]["series"]["values"]).all()
 
 
 class TestOrderStudy:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import effheis as eh
 from effheis import linalg
 from effheis.dynamics import (
+    PHASE_CAP,
     PropagatorSeries,
     TimeGrid,
     compare,
@@ -22,6 +23,7 @@ from effheis.errors import (
     DimensionOverflow,
     FrameMismatch,
     GridMismatch,
+    Overflow,
     StepTooLarge,
     UnsupportedOrder,
 )
@@ -200,6 +202,22 @@ class TestExactSeries:
         series = exact_series(split, 1, grid)
         for t, val in zip(grid.times, series.values):
             assert linalg.max_abs(val - linalg.matrix_exponential(h0 * t)) < 1e-11
+
+    def test_long_time_past_exponential_cap(self, detuned_split):
+        # t_end * max_abs(E H) = 2e4 is past linalg.EXP_NORM_CAP, but the
+        # phases t * w still hold about 12 digits: the series is formed
+        T = 2e4 / linalg.max_abs(detuned_split.total().single_particle_generator())
+        grid = TimeGrid(T, 4)
+        want = project_per_point_exact_series(detuned_split, 1, grid)
+        assert series_gap(exact_series(detuned_split, 1, grid), want) <= 1e-10
+
+    def test_phase_cap(self, detuned_split):
+        # refused only where t_end * max|w| passes PHASE_CAP
+        w = linalg.hermitian_eigendecompose(detuned_split.total().single_particle_generator())
+        w_max = float(np.max(np.abs(w.eigenvalues)))
+        exact_series(detuned_split, 1, TimeGrid(0.99 * PHASE_CAP / w_max, 1))
+        with pytest.raises(Overflow, match="exceeds cap"):
+            exact_series(detuned_split, 1, TimeGrid(1.01 * PHASE_CAP / w_max, 1))
 
 
 class TestIntegrateTimeLocal:
