@@ -6,6 +6,13 @@
 
 Exit codes: 0 ok, 1 runtime error, 2 config error, 3 validation failure,
 4 verification failure, 5 failed expectation.
+
+``evolve`` reports its series as the library holds it: the resonant entries
+Y_k of each grid point k in the basis V = V1^{(x)m}, V1 the eigenbasis of
+E H0 (``slot_basis``), at the (row, col) positions ``index`` of V; the
+propagator is V Y_k V^dag, and Y_k itself when V1 = I.  ``--csv`` writes
+the same entries, one row per time.  A series of more than
+``REPORT_FLOAT_CAP`` floats is refused with DimensionOverflow.
 """
 
 from __future__ import annotations
@@ -22,7 +29,14 @@ import numpy as np
 from .boson import divergence_demo, stability_check
 from .config import ModelConfig, decode_matrix, load_config
 from .dynamics import TimeGrid, compare, exact_series, integrate_time_local, order_estimate
-from .errors import ConfigError, DegenerateFit, EffheisError, TooManyModes, ValidationError
+from .errors import (
+    ConfigError,
+    DegenerateFit,
+    DimensionOverflow,
+    EffheisError,
+    TooManyModes,
+    ValidationError,
+)
 from .perturbation import kappa12
 from .verify import run_verification
 
@@ -32,6 +46,10 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFICATION = 4
 EXIT_EXPECTATION = 5
+
+# the largest series evolve prints, in floats (grid points x nnz x [re, im]);
+# encoding a report of 2**23 floats peaks at about 1.2 GB
+REPORT_FLOAT_CAP = 2**23
 
 
 def _emit(report: dict, out_path: str | None):
@@ -49,14 +67,17 @@ def _encode(obj, level: int) -> str:
 
     With ``indent`` set, ``json`` encodes in pure Python, one float at a
     time; a finite float64 array instead fills a cached ``%r`` template of
-    its nested-list layout.  ``%r`` of a float is ``float.__repr__``, what
-    ``json`` writes; bool, int and non-finite arrays take the generic path,
-    which writes ``true`` and ``NaN`` where ``%r`` would not.
+    its nested-list layout, and an integer array a ``%d`` one.  ``%r`` of a
+    float is ``float.__repr__`` and ``%d`` of an int is ``int.__repr__``,
+    what ``json`` writes; bool and non-finite arrays take the generic path,
+    which writes ``true`` and ``NaN`` where ``%d`` and ``%r`` would not.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
-            return _array_template(obj.shape, level) % tuple(obj.ravel().tolist())
+            return _array_template(obj.shape, level, "%r") % tuple(obj.ravel().tolist())
+        if obj.size and np.issubdtype(obj.dtype, np.integer):
+            return _array_template(obj.shape, level, "%d") % tuple(obj.ravel().tolist())
         return _encode(obj.tolist(), level)
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         items = [json.dumps(key) + ": " + _encode(obj[key], level + 1) for key in sorted(obj)]
@@ -67,13 +88,13 @@ def _encode(obj, level: int) -> str:
 
 
 @lru_cache(maxsize=64)
-def _array_template(shape: tuple, level: int) -> str:
+def _array_template(shape: tuple, level: int, field: str) -> str:
     """The layout ``json`` gives a nested list of ``shape`` at ``level``,
-    with ``%r`` for each float."""
+    with ``field`` for each number."""
     if not shape:
-        return "%r"
+        return field
     pad = "\n" + "  " * (level + 1)
-    inner = _array_template(shape[1:], level + 1)
+    inner = _array_template(shape[1:], level + 1, field)
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + pad[:-2] + "]"
 
 
@@ -86,22 +107,31 @@ def _report(command: str, cfg: ModelConfig, payload: dict, t0: float) -> dict:
     }
 
 
-def _write_series_csv(path: str, times: np.ndarray, values: np.ndarray) -> None:
-    """One row per time: t, then the (d, d, 2) [re, im] entries row-major."""
-    dim = values.shape[1]
-    header = ["t"] + [f"{part}_{a}_{b}" for a in range(dim) for b in range(dim) for part in ("re", "im")]
-    table = np.column_stack([times, values.reshape(len(times), -1)])
+def _write_series_csv(path: str, series: dict) -> None:
+    """One row per time: t, then the (nnz, 2) [re, im] entries, headed
+    re_r_c,im_r_c for each (r, c) of the index."""
+    times, entries = series["times"], series["entries"]
+    header = ["t"] + [f"{part}_{r}_{c}" for r, c in series["index"].tolist() for part in ("re", "im")]
+    table = np.column_stack([times, entries.reshape(len(times), -1)])
     lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _series_payload(series) -> dict:
-    V = np.asarray(series.values)
+    """The series' resonant entries, at their (row, col) positions in the
+    basis V = V1^{(x)m} (numpy ``kron`` order), with V1 itself."""
+    frame = series.partition.decomposition
+    rows, cols = series.partition.resonant
+    V1 = np.eye(frame.k) if frame.factor is None else frame.factor
+    E = series.entries
     return {
         "label": series.label,
         "times": series.grid.times,
-        "values": np.stack([V.real, V.imag], -1),
+        "m": frame.m,
+        "slot_basis": np.stack([V1.real, V1.imag], -1),
+        "index": np.column_stack([frame.order[rows], frame.order[cols]]),
+        "entries": np.stack([E.real, E.imag], -1),
     }
 
 
@@ -129,11 +159,13 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
         series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), args.order, grid)
         exact = exact_series(split, cfg.m, grid, cfg.resonance_tol)
         comparison = {"sup_error_vs_exact": compare(exact, series)["sup_error"]}
+    floats = 2 * series.entries.size
+    if floats > REPORT_FLOAT_CAP:
+        raise DimensionOverflow(f"series of {floats} floats exceeds report cap {REPORT_FLOAT_CAP}")
     payload = {"series": _series_payload(series), **comparison}
-    csv_path = args.csv or (args.out + ".csv" if args.out else None)
-    if csv_path:
-        _write_series_csv(csv_path, payload["series"]["times"], payload["series"]["values"])
-        payload["csv_path"] = csv_path
+    if args.csv:
+        _write_series_csv(args.csv, payload["series"])
+        payload["csv_path"] = args.csv
     return payload, EXIT_OK
 
 

@@ -10,6 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from effheis import cli
 from effheis.cli import main
+from effheis.config import load_config
+from effheis.dynamics import TimeGrid, exact_series, integrate_time_local
+from effheis.perturbation import kappa12
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -32,6 +35,37 @@ def run(tmp_path, *argv):
         code = exc.code
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def as_complex(pairs):
+    """A nested [re, im] list as a complex array."""
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
+
+
+def rebuild(series):
+    """V Y_k V^dag at every grid point of an evolve report's series, with
+    V = V1^{(x)m} and Y_k zero except at ``index``, where it holds
+    ``entries[k]``."""
+    V1 = as_complex(series["slot_basis"])
+    V = np.eye(1)
+    for _ in range(series["m"]):
+        V = np.kron(V, V1)
+    rows, cols = np.array(series["index"]).T
+    Y = np.zeros((len(series["times"]), len(V), len(V)), dtype=complex)
+    Y[:, rows, cols] = as_complex(series["entries"])
+    return V @ Y @ V.conj().T
+
+
+def library_values(path, order):
+    """The original-basis propagators of the series evolve prints, from the
+    library."""
+    cfg = load_config(path)
+    split, grid = cfg.split(), TimeGrid(t_end=cfg.grid_t_end, steps=cfg.grid_steps)
+    if order == "exact":
+        series = exact_series(split, cfg.m, grid, cfg.resonance_tol)
+    else:
+        series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), int(order), grid)
+    return np.array(series.values)
 
 
 BASE = {
@@ -197,18 +231,47 @@ class TestEvolve:
             "--order", "exact", "--csv", str(csv_path),
         )
         assert code == 0
+        assert report["payload"]["csv_path"] == str(csv_path)
+        index = report["payload"]["series"]["index"]
         lines = csv_path.read_text().splitlines()
         header = lines[0].split(",")
         assert header[0] == "t"
-        assert header[1] == "re_0_0" and header[2] == "im_0_0"
-        # 100 steps -> 101 rows, 4x4 matrix -> 1 + 32 columns
+        assert header[1] == "re_%d_%d" % tuple(index[0]) and header[2] == "im_%d_%d" % tuple(index[0])
+        # 100 steps -> 101 rows; the four distinct frequencies +-1, +-2 of
+        # E H0 resonate only with themselves -> 4 entries, 1 + 8 columns
+        assert len(index) == 4
         assert len(lines) == 102
-        assert len(lines[1].split(",")) == 33
+        assert len(lines[1].split(",")) == 9
         assert float(lines[1].split(",")[0]) == 0.0
         # first row is the identity
-        row0 = [float(x) for x in lines[1].split(",")[1:]]
-        mat = np.array(row0).reshape(4, 4, 2)
+        row0 = np.array([float(x) for x in lines[1].split(",")[1:]]).reshape(-1, 2)
+        mat = np.zeros((4, 4, 2))
+        mat[tuple(np.array(index).T)] = row0
         np.testing.assert_allclose(mat[..., 0], np.eye(4), atol=1e-12)
+
+    def test_out_without_csv_writes_one_file(self, tmp_path):
+        code, report = run(
+            tmp_path, "evolve", "--config", config_path("two_mode.json"), "--order", "exact"
+        )
+        assert code == 0
+        assert "csv_path" not in report["payload"]
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_report_over_cap_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # 101 grid points x 4 resonant entries x [re, im] = 808 floats
+        csv_path = tmp_path / "series.csv"
+        argv = ["evolve", "--config", config_path("two_mode.json"), "--order", "exact",
+                "--csv", str(csv_path)]
+        monkeypatch.setattr(cli, "REPORT_FLOAT_CAP", 808)
+        code, report = run(tmp_path, *argv)
+        assert code == 0 and report is not None and csv_path.exists()
+        for path in (tmp_path / "report.json", csv_path):
+            path.unlink()
+        monkeypatch.setattr(cli, "REPORT_FLOAT_CAP", 807)
+        code, report = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code == 1 and report is None and not csv_path.exists()
+        assert err.startswith("DimensionOverflow: ") and "Traceback" not in err
 
 
 class TestVerify:
@@ -283,7 +346,7 @@ class TestLargeCoupling:
         code, report = run(tmp_path, "evolve", "--config", write_config(tmp_path, data),
                            "--order", order)
         assert code == 0
-        assert np.isfinite(report["payload"]["series"]["values"]).all()
+        assert np.isfinite(report["payload"]["series"]["entries"]).all()
 
 
 class TestOrderStudy:
@@ -442,6 +505,8 @@ class TestReportEncoding:
     @example({"values": np.array([[-0.0, 5e-324], [1e-310, 1e308]]), "empty": np.zeros((2, 0))})
     @example([np.array([1.0, float("nan")]), np.array([-np.inf, np.inf]), np.array(2.5)])
     @example({"ints": np.arange(3), "bools": np.array([True, False]), "": [{}, [], None]})
+    @example({"index": np.arange(6, dtype=np.int32).reshape(3, 2),
+              "unsigned": np.array([0, 2**64 - 1], dtype=np.uint64)})
     def test_matches_json_dumps(self, obj):
         assert cli._encode(obj, 0) == json.dumps(to_lists(obj), indent=2, sort_keys=True)
 
@@ -465,8 +530,28 @@ class TestReportEncoding:
         # parsed report must give back the same bytes on any platform
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
         series = report["payload"]["series"]
-        rows = [[float(x) for x in line.split(",")] for line in csv_path.read_text().splitlines()[1:]]
-        assert rows == [[t, *np.ravel(V).tolist()] for t, V in zip(series["times"], series["values"])]
+        # every shipped H0 is given by its frequencies, so V1 = I and the
+        # propagators rebuilt from the report are the library's bit for bit
+        assert np.array_equal(as_complex(series["slot_basis"]), np.eye(4))
+        assert np.array_equal(rebuild(series), library_values(config_path(name), order))
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].split(",") == ["t"] + [
+            f"{part}_{r}_{c}" for r, c in series["index"] for part in ("re", "im")
+        ]
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows == [[t, *np.ravel(E).tolist()] for t, E in zip(series["times"], series["entries"])]
+
+    @pytest.mark.parametrize("order", ["exact", "2"])
+    def test_evolve_report_rotated_frame(self, tmp_path, order):
+        # H0 given as a hopping: E H0 is not diagonal, V1 != I
+        data = dict(BASE, H0={"hopping": [{"j": 1, "k": 2, "g": 0.7}]},
+                    HI={"frequencies": [1.0, 2.0]}, m=2, grid={"t_end": 1.0, "steps": 20})
+        path = write_config(tmp_path, data)
+        code, report = run(tmp_path, "evolve", "--config", path, "--order", order)
+        assert code == 0
+        series = report["payload"]["series"]
+        assert not np.array_equal(as_complex(series["slot_basis"]), np.eye(4))
+        np.testing.assert_allclose(rebuild(series), library_values(path, order), rtol=0, atol=1e-14)
 
 
 class TestParserReuse:
