@@ -12,7 +12,8 @@ Y_k of each grid point k in the basis V = V1^{(x)m}, V1 the eigenbasis of
 E H0 (``slot_basis``), at the (row, col) positions ``index`` of V; the
 propagator is V Y_k V^dag, and Y_k itself when V1 = I.  ``--csv`` writes
 the same entries, one row per time.  A series of more than
-``REPORT_FLOAT_CAP`` floats is refused with DimensionOverflow.
+``REPORT_FLOAT_CAP`` floats is refused with DimensionOverflow, from the
+resonance partition alone, before the series is built.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .perturbation import kappa12
+from .projector import free_moment_partition
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -151,6 +153,13 @@ def cmd_validate(cfg: ModelConfig, args) -> tuple[dict, int]:
 def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
     split = cfg.split()
     grid = TimeGrid(t_end=cfg.grid_t_end, steps=cfg.grid_steps)
+    # T x nnz floats are known from the partition: refuse before any series
+    # work, and partition only when T x d^2, with d^2 >= nnz, is over the cap
+    if 2 * len(grid.times) * (2 * split.n) ** (2 * cfg.m) > REPORT_FLOAT_CAP:
+        sizes = free_moment_partition(split, cfg.m, cfg.resonance_tol).sizes
+        floats = 2 * len(grid.times) * int(np.sum(sizes**2))
+        if floats > REPORT_FLOAT_CAP:
+            raise DimensionOverflow(f"series of {floats} floats exceeds report cap {REPORT_FLOAT_CAP}")
     if args.order == "exact":
         series = exact_series(split, cfg.m, grid, cfg.resonance_tol)
         free = exact_series(replace(split, coupling=0.0), cfg.m, grid, cfg.resonance_tol)
@@ -159,9 +168,6 @@ def cmd_evolve(cfg: ModelConfig, args) -> tuple[dict, int]:
         series = integrate_time_local(kappa12(split, cfg.m, cfg.resonance_tol), args.order, grid)
         exact = exact_series(split, cfg.m, grid, cfg.resonance_tol)
         comparison = {"sup_error_vs_exact": compare(exact, series)["sup_error"]}
-    floats = 2 * series.entries.size
-    if floats > REPORT_FLOAT_CAP:
-        raise DimensionOverflow(f"series of {floats} floats exceeds report cap {REPORT_FLOAT_CAP}")
     payload = {"series": _series_payload(series), **comparison}
     if args.csv:
         _write_series_csv(args.csv, payload["series"])

@@ -284,11 +284,12 @@ def order_estimate(
         raise ValueError("need at least 3 coupling values")
     if not all(0 < lam < np.inf for lam in lambdas):
         raise ValueError(f"lambdas must be positive finite couplings, got {lambdas}")
+    # kappa1 and kappa2(t) do not depend on the coupling: built once
+    gen = kappa12(split, m, tol)
     errors = []
     for lam in lambdas:
-        split_lam = replace(split, coupling=float(lam))
-        approx = integrate_time_local(kappa12(split_lam, m, tol), order, grid)
-        exact = exact_series(split_lam, m, grid, tol)
+        approx = integrate_time_local(replace(gen, coupling=float(lam)), order, grid)
+        exact = exact_series(replace(split, coupling=float(lam)), m, grid, tol)
         errors.append(compare(exact, approx)["sup_error"])
     if max(errors) <= ROUND_OFF:
         raise DegenerateFit(f"all errors at most {ROUND_OFF:.0e}; model is exactly solvable", errors)

@@ -60,11 +60,20 @@ class FockRep:
 
     @cached_property
     def pair_products(self) -> np.ndarray:
-        """Read-only (2n, 2n, d, d) stack of the products c_a c_b."""
-        ops = self.operator_stack
-        pairs = ops[:, None] @ ops[None, :]
+        """Read-only (2n, 2n, d, d) stack of the products c_a c_b,
+        ``operator_products`` at m = 2."""
+        pairs = operator_products(self, 2).reshape(2 * self.n, 2 * self.n, self.dim, self.dim)
         pairs.setflags(write=False)
         return pairs
+
+
+def operator_products(rep: FockRep, m: int) -> np.ndarray:
+    """Stack of the Fock matrices of c_{j1} ... c_{jm} for every
+    multi-index, kron order: each factor multiplies the whole stack at once."""
+    products = rep.operator_stack
+    for _ in range(m - 1):
+        products = (products[:, None] @ rep.operator_stack).reshape(-1, rep.dim, rep.dim)
+    return products
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ trapezoidal average.  The library evaluates the same quantities fast
 independent forms they are checked against.
 
 The moments and cumulants work on the dense d x d interaction hI of
-``verify.resonance_frame``.
+``verify.resonance_frame`` in the frame of ``projector.free_moment_partition``
+(``dense_frame``); ``fock_frame`` is the partition of H0hat that the Fock
+checks take.
 """
 
 from __future__ import annotations
@@ -19,16 +21,29 @@ import numpy as np
 from effheis import linalg
 from effheis.errors import DimensionMismatch, UnsupportedOrder
 from effheis.fermion import SplitHamiltonian
+from effheis.fock import jordan_wigner, quadratize
 from effheis.perturbation import SERIES_SWITCH, SERIES_TERMS
-from effheis.projector import DEFAULT_RESONANCE_TOL, resonance_partition
+from effheis.projector import DEFAULT_RESONANCE_TOL, free_moment_partition, resonance_partition
 from effheis.verify import resonance_frame
+
+
+def dense_frame(split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL):
+    """The moment partition of M0 at ``tol`` and hI in its eigenbasis."""
+    partition = free_moment_partition(split, m, tol)
+    return partition, resonance_frame(split, partition)
+
+
+def fock_frame(split: SplitHamiltonian, tol: float = DEFAULT_RESONANCE_TOL):
+    """The resonance partition of H0hat at ``tol``, as
+    ``verify.run_verification`` builds it."""
+    return resonance_partition(quadratize(split.base, jordan_wigner(split.n)), tol)
 
 
 def mu1(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> Callable[[float], np.ndarray]:
     """First Dyson moment mu_1(t) = t * P(hI)."""
-    partition, hI = resonance_frame(split, m, tol)
+    partition, hI = dense_frame(split, m, tol)
     p_hI = partition.project_eig(hI)
     return lambda t: t * p_hI
 
@@ -59,7 +74,7 @@ def mu2_closed(
     split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL
 ) -> Callable[[float], np.ndarray]:
     """Second Dyson moment mu_2(t) = P(hI phi(t [h0, .]) hI), closed form."""
-    partition, hI = resonance_frame(split, m, tol)
+    partition, hI = dense_frame(split, m, tol)
 
     def evaluate(t: float) -> np.ndarray:
         weighted = hI * spectral_phi(partition.delta, t)
@@ -90,7 +105,7 @@ def mu_k_quadrature(
         raise UnsupportedOrder(f"quadrature implemented for k <= 3, got {k}")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
-    partition, hI = resonance_frame(split, m, tol)
+    partition, hI = dense_frame(split, m, tol)
     dim = len(hI)
     x01, w01 = _gauss_legendre(nodes)
 

@@ -273,6 +273,24 @@ class TestEvolve:
         assert code == 1 and report is None and not csv_path.exists()
         assert err.startswith("DimensionOverflow: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("order", ["exact", "2"])
+    def test_report_over_cap_refused_before_series(self, tmp_path, capsys, monkeypatch, order):
+        # (4,4) diag, 20 steps: 21 grid points x 241,976 resonant entries x
+        # [re, im] floats, known from the partition alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("series built for a report over the cap")
+
+        monkeypatch.setattr(cli, "exact_series", refuse)
+        monkeypatch.setattr(cli, "kappa12", refuse)
+        cfg = write_config(tmp_path, dict(
+            BASE, n=4, m=4, H0={"frequencies": [1.0, 1.3, 1.9, 2.6]},
+            grid={"t_end": 1.0, "steps": 20},
+        ))
+        code, report = run(tmp_path, "evolve", "--config", cfg, "--order", order)
+        err = capsys.readouterr().err
+        assert code == 1 and report is None
+        assert err.startswith("DimensionOverflow: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_shipped_config_passes(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effheis as eh
-from effheis import linalg
+from effheis import dynamics, linalg
 from effheis.dynamics import (
     PHASE_CAP,
     PropagatorSeries,
@@ -27,6 +28,7 @@ from effheis.errors import (
     StepTooLarge,
     UnsupportedOrder,
 )
+from effheis.config import load_config
 from effheis.fermion import moment_generator
 from effheis.perturbation import kappa12
 from effheis.projector import (
@@ -37,6 +39,12 @@ from effheis.projector import (
     resonance_partition,
 )
 from effheis.verify import random_valid_fermion
+
+
+def pinned_rotated_split():
+    """n = 2, H0 diagonal plus hopping (V1 != I), HI a hopping."""
+    base = eh.validate_fermion(eh.diagonal_modes([1.0, 1.3]).H + eh.hopping(2, 1, 2, 0.3).H, 2)
+    return eh.SplitHamiltonian(base=base, interaction=eh.hopping(2, 1, 2, 0.7), coupling=0.1)
 
 
 def dense_rk4(gen, order, grid, max_step=1e-3):
@@ -210,6 +218,27 @@ class TestExactSeries:
         grid = TimeGrid(T, 4)
         want = project_per_point_exact_series(detuned_split, 1, grid)
         assert series_gap(exact_series(detuned_split, 1, grid), want) <= 1e-10
+
+    def test_phase_1e4_matches_mpmath(self):
+        # README: "at a phase of 1e4 the phases still hold about 12 digits".
+        # configs/two_mode_detuned.json up to t * max|w| = 1e4 against a
+        # 50-digit mpmath.expm(-i E H t), projected onto the resonant
+        # entries (measured 1.4e-12)
+        import mpmath
+
+        split = load_config(Path(__file__).parent.parent / "configs" / "two_mode_detuned.json").split()
+        K = split.total().single_particle_generator()
+        w_max = float(np.max(np.abs(linalg.hermitian_eigendecompose(K).eigenvalues)))
+        grid = TimeGrid(1e4 / w_max, 4)
+        series = exact_series(split, 1, grid)
+        frame, resonant = series.partition.decomposition, series.partition.resonant
+        worst = 0.0
+        with mpmath.workdps(50):
+            K_mp = mpmath.matrix(K.tolist())
+            for t, entries in zip(grid.times, series.entries, strict=True):
+                ref = np.array(mpmath.expm(-1j * mpmath.mpf(t) * K_mp).tolist(), dtype=complex)
+                worst = max(worst, linalg.max_abs(entries - frame.to_eigenbasis(ref)[resonant]))
+        assert worst <= 1e-11
 
     def test_phase_cap(self, detuned_split):
         # refused only where t_end * max|w| passes PHASE_CAP
@@ -599,6 +628,30 @@ class TestOrderEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 80 * 2**20
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_builds_generator_once(self, monkeypatch, order):
+        # kappa1 and kappa2(t) do not depend on the coupling: one kappa12
+        # call serves every lambda, with the errors of a per-lambda rebuild
+        split = pinned_rotated_split()
+        grid, lambdas = TimeGrid(0.5, 10), (0.05, 0.1, 0.2)
+        want = [
+            compare(
+                exact_series(replace(split, coupling=lam), 2, grid),
+                integrate_time_local(kappa12(replace(split, coupling=lam), 2), order, grid),
+            )["sup_error"]
+            for lam in lambdas
+        ]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kappa12(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "kappa12", counted)
+        got = order_estimate(split, 2, grid, lambdas, order=order)["errors"]
+        assert len(calls) == 1
+        assert np.array_equal(got, want)
 
     def test_requires_three_lambdas(self, detuned_split):
         with pytest.raises(ValueError):

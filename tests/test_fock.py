@@ -5,12 +5,13 @@ import pytest
 
 import effheis as eh
 from effheis import fock, linalg
-from effheis.dynamics import TimeGrid
+from effheis.dynamics import TimeGrid, exact_series
 from effheis.errors import DimensionMismatch, Overflow, TooManyModes
 from effheis.fock import (
     averaged_unitary_moments,
     check_heisenberg_reduction,
     jordan_wigner,
+    operator_products,
     project_superoperator,
     quadratize,
     unitary_conjugation_superoperator,
@@ -24,11 +25,11 @@ from effheis.projector import (
 from effheis.verify import (
     matrix_projector_law_residuals,
     moment_equivalence_residual,
-    operator_products,
     random_complex,
     random_valid_fermion,
     run_verification,
 )
+from references import fock_frame
 
 
 class TestJordanWigner:
@@ -367,7 +368,8 @@ class TestAveragedUnitaryMoments:
     def test_operator_product_tensor_reduction(self, offres_split):
         # tensor form of the moment average: for X = c_a c_b the average of
         # the conjugated product matches the projected kron-propagator row
-        assert moment_equivalence_residual(offres_split, 2, TimeGrid(0.9, 1)) < 1e-8
+        series = exact_series(offres_split, 2, TimeGrid(0.9, 1))
+        assert moment_equivalence_residual(series, offres_split, fock_frame(offres_split)) < 1e-8
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_moment_equivalence_grid_is_worst_time(self, m):
@@ -378,9 +380,14 @@ class TestAveragedUnitaryMoments:
             base=random_valid_fermion(3, rng), interaction=random_valid_fermion(3, rng),
             coupling=0.2,
         )
-        each = [moment_equivalence_residual(split, m, TimeGrid(t, 1)) for t in (0.5, 1.0)]
+        part = fock_frame(split)
+
+        def residual(grid):
+            return moment_equivalence_residual(exact_series(split, m, grid), split, part)
+
+        each = [residual(TimeGrid(t, 1)) for t in (0.5, 1.0)]
         # batched and one-time products may round differently in BLAS
-        assert abs(moment_equivalence_residual(split, m, TimeGrid(1.0, 2)) - max(each)) <= 1e-14
+        assert abs(residual(TimeGrid(1.0, 2)) - max(each)) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_kernel_reference(self, rng, n):
@@ -491,9 +498,10 @@ def law_splits(n):
 class TestMatrixLawsOnFactoredFrame:
     @pytest.mark.parametrize("n, m", [(4, 2), (2, 3)])
     def test_no_dense_frame(self, monkeypatch, rng, n, m):
-        # the laws run in the moment path's Kronecker-factored frame: the
-        # only eigendecomposition is of the 2n x 2n E H0, and the free
-        # evolutions come from its phases, not from matrix exponentials
+        # the laws run in the moment path's Kronecker-factored frame: its
+        # only eigendecomposition is of the 2n x 2n E H0, the law check
+        # itself eigendecomposes nothing, and the free evolutions come from
+        # the frame's phases, not from matrix exponentials
         eigh_dims, expm_calls = [], []
         eigh = np.linalg.eigh
         expm = linalg.matrix_exponential
@@ -509,11 +517,14 @@ class TestMatrixLawsOnFactoredFrame:
         monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
         monkeypatch.setattr(linalg, "matrix_exponential", spy_expm)
         for split, rotated in zip(law_splits(n), (True, False), strict=True):
-            assert (free_moment_partition(split, m).decomposition.factor is not None) == rotated
             eigh_dims.clear()
-            res = matrix_projector_law_residuals(split, m, rng, samples=5)
-            assert max(res.values()) <= 1e-12, res
+            part = free_moment_partition(split, m)
+            assert (part.decomposition.factor is not None) == rotated
             assert eigh_dims == ([2 * n] if rotated else [])
+            eigh_dims.clear()
+            res = matrix_projector_law_residuals(part, rng, samples=5)
+            assert max(res.values()) <= 1e-12, res
+            assert eigh_dims == []
             assert expm_calls == []
 
 

@@ -10,9 +10,14 @@ from effheis import linalg
 from effheis.errors import UnsupportedOrder
 from effheis.fermion import SplitHamiltonian
 from effheis.perturbation import SERIES_SWITCH, kappa12, spectral_function
-from effheis.projector import free_moment_generator_hermitian, project, resonance_partition
-from effheis.verify import random_valid_fermion, resonance_frame, stationarity_residual
-from references import general_kappa, mu1, mu2_closed, mu_k_quadrature, spectral_phi
+from effheis.projector import (
+    free_moment_generator_hermitian,
+    free_moment_partition,
+    project,
+    resonance_partition,
+)
+from effheis.verify import random_valid_fermion, stationarity_residual
+from references import dense_frame, general_kappa, mu1, mu2_closed, mu_k_quadrature, spectral_phi
 
 SPECTRAL = {"psi": spectral_function, "phi": spectral_phi}
 
@@ -59,6 +64,24 @@ class TestSpectralFunction:
                     ref = (mpmath.expm1(z) - z) / d_mp**2
                 worst = max(worst, float(abs(value - ref) / abs(ref)))
         assert worst <= 1e-13
+
+    def test_psi_across_switch_to_round_off(self):
+        # 50-digit reference at t = 1 for |d| from 1e-6 to 1e3, either side
+        # of SERIES_SWITCH and at it, with d imaginary, complex (Re d < 0)
+        # or negative real: both branches hold psi to 1e-15 relative
+        import mpmath
+
+        radii = np.geomspace(1e-6, 1e3, 181)
+        radii = np.concatenate([radii, SERIES_SWITCH * np.array([1 - 1e-12, 1.0, 1 + 1e-12])])
+        delta = np.concatenate([1j * radii, radii * np.exp(2.5j), -radii + 0j])
+        got = spectral_function(delta, 1.0)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for d, value in zip(delta, got, strict=True):
+                d_mp = mpmath.mpc(d.real, d.imag)
+                ref = mpmath.expm1(d_mp) / d_mp
+                worst = max(worst, float(abs(value - ref) / abs(ref)))
+        assert worst <= 1e-15
 
     @pytest.mark.parametrize("kind", ["psi", "phi"])
     def test_array_t_bit_identical_to_scalar_calls(self, kind):
@@ -185,7 +208,7 @@ class TestCumulants:
     def test_kappa1_is_resonant_entries(self, detuned_split):
         for m in (1, 2):
             gen = kappa12(detuned_split, m)
-            partition, hI = resonance_frame(detuned_split, m)
+            partition, hI = dense_frame(detuned_split, m)
             assert gen.kappa1.shape == (len(partition.resonant[0]),)
             np.testing.assert_array_equal(gen.kappa1, hI[partition.resonant])
             assert linalg.max_abs(gen.kappa1) > 0.1
@@ -202,7 +225,7 @@ class TestCumulants:
         t = 0.6
         for split, m in ((detuned_split, 1), (detuned_split, 2), (rotated, 2)):
             gen = kappa12(split, m)
-            partition, hI = resonance_frame(split, m)
+            partition, hI = dense_frame(split, m)
             l = -1j * np.diag(partition.eigenvalues) + split.coupling * np.where(partition.mask, hI, 0.0)
             if order == 2:
                 kappa2 = np.zeros_like(l)
@@ -233,7 +256,7 @@ class TestCumulants:
         assert linalg.max_abs(closed - fd) < 1e-5
 
     def test_general_kappa_k1(self, detuned_split):
-        partition, hI = resonance_frame(detuned_split, 1)
+        partition, hI = dense_frame(detuned_split, 1)
         want = partition.project_eig(hI)
         got = general_kappa(detuned_split, 1, 1, 1.0, nodes=32)
         assert linalg.max_abs(got - want) < 1e-8
@@ -292,7 +315,7 @@ class TestBatchedKappa2:
     def test_matches_dense_formula(self, case):
         split, m, nodes = case
         gen = kappa12(split, m)
-        partition, hI = resonance_frame(split, m)
+        partition, hI = dense_frame(split, m)
         kappa1 = np.where(partition.mask, hI, 0.0)
         got = gen.kappa2_of_t(nodes)
         assert got.shape == (len(nodes), int(partition.mask.sum()))
@@ -339,7 +362,7 @@ class TestKappaFromSlots:
     def test_matches_dense_frame(self, n, m, kind):
         split = pinned_split(n, kind)
         gen = kappa12(split, m)
-        partition, hI = resonance_frame(split, m)
+        partition, hI = dense_frame(split, m)
         assert np.array_equal(gen.kappa1.view(np.uint64), hI[partition.resonant].view(np.uint64))
         kappa1 = np.where(partition.mask, hI, 0.0)
         nodes = np.linspace(0.0, 1.0, 2 * 5 + 1)
@@ -374,7 +397,7 @@ class TestKappaFromSlots:
 class TestExpansionProperties:
     def test_stationarity(self, offres_split, resonant_split):
         for split in (offres_split, resonant_split):
-            assert stationarity_residual(split, 1) < 1e-10
+            assert stationarity_residual(split, free_moment_partition(split, 1)) < 1e-10
 
     def test_truncation_order(self, detuned_split):
         from dataclasses import replace
