@@ -10,10 +10,14 @@ reaches that eigenbasis by mode products with H0hat's eigenvectors V on each
 index of the (d, d, d, d) view, so the dense d^2 x d^2 basis V^* kron V of
 L0 is never formed.  ``averaged_unitary_moments`` applies that average to
 the conjugation superoperator of exp(i Hhat t); both take H0hat's partition.
+``check_heisenberg_reduction`` checks the Heisenberg matrix of each
+Hamiltonian of a sequence against the conjugation by exp(i Hhat t), with
+the Hhat of the whole sequence eigendecomposed in one stacked call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -169,19 +173,25 @@ def averaged_unitary_moments(Hhat: np.ndarray, part: ResonancePartition, product
     return averages if np.ndim(t) else averages[0]
 
 
-def check_heisenberg_reduction(H: FermionHamiltonian, rep: FockRep, t) -> float:
+def check_heisenberg_reduction(Hs: Sequence[FermionHamiltonian], rep: FockRep, t) -> float:
     """Max residual of exp(iHhat t) c_a exp(-iHhat t) = sum_b O(t)_ab c_b
-    over all 2n operators c_a and every time t, a number or a sequence.
+    over all 2n operators c_a, every time t (a number or a sequence) and
+    every Hamiltonian H of the sequence ``Hs``, all on the modes of ``rep``.
 
-    Hhat and E H are eigendecomposed once each: U(t) = exp(iHhat t) and
-    O(t) = ``heisenberg_matrix`` at every t come from their phases, with
-    ``linalg.unitary_propagators``' hermiticity check and ``Overflow`` cap.
+    U(t) = exp(iHhat t) for all of ``Hs`` comes from one stacked
+    eigendecomposition of their Hhat, and O(t) = ``heisenberg_matrix`` from
+    one of each E H, both with ``linalg.unitary_propagators``' hermiticity
+    check and ``Overflow`` cap.  The result is the largest of the calls for
+    one H each, bit for bit.
     """
-    if H.n != rep.n:
+    if any(H.n != rep.n for H in Hs):
         raise DimensionMismatch("mode counts differ")
     times = np.asarray(t, dtype=float).reshape(-1)
-    U = linalg.unitary_propagators(quadratize(H, rep), times)[:, None]
-    O = heisenberg_matrix(H, times)
+    # shaped explicitly, so that an empty Hs gives empty stacks and residual 0
+    Hhat = np.reshape([quadratize(H, rep) for H in Hs], (-1, rep.dim, rep.dim))
+    U = linalg.unitary_propagators(Hhat, times)[:, :, None]
+    n2 = 2 * rep.n
+    O = np.reshape([heisenberg_matrix(H, times) for H in Hs], (-1, len(times), n2, n2))
     ops = rep.operator_stack
     lhs = U @ ops @ U.conj().swapaxes(-1, -2)
     return linalg.max_abs(lhs - np.tensordot(O, ops, axes=1))

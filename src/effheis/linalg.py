@@ -134,25 +134,30 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
 
 
 def unitary_propagators(M: np.ndarray, times) -> np.ndarray:
-    """exp(i t M) for Hermitian M at every t of ``times``, a stack
-    (len(times), d, d) read off one eigendecomposition of M.
+    """exp(i t M) for Hermitian M at every t of ``times``: a stack
+    (len(times), d, d) read off one eigendecomposition of M.  For a stack M
+    (..., d, d) it is (..., len(times), d, d), read off one stacked
+    eigendecomposition, and matrix by matrix bit for bit what one call per
+    matrix gives.
 
     Raises
     ------
     NotHermitian
-        As ``hermitian_eigendecompose``.
+        As ``hermitian_eigendecompose``, if some matrix of M is not Hermitian.
     Overflow
         If ``|t| * max_abs(M) > EXP_NORM_CAP`` for some t, the cap
-        ``matrix_exponential`` puts on ``max_abs(i t M)``.
+        ``matrix_exponential`` puts on ``max_abs(i t M)``, with max_abs(M)
+        taken over the whole stack.
     """
-    M = as_matrix(M)
+    M = as_matrix(M, stack=True)
     times = np.asarray(times, dtype=float).reshape(-1)
     norm = float(np.max(np.abs(times), initial=0.0)) * max_abs(M)
     if norm > EXP_NORM_CAP:
         raise Overflow(f"max |t| * max_abs(M)={norm:.3e} exceeds cap {EXP_NORM_CAP:.3e}")
     eig = hermitian_eigendecompose(M)
-    phases = np.exp(1j * np.multiply.outer(times, eig.eigenvalues))
-    return (eig.basis * phases[:, None, :]) @ eig.basis.conj().T
+    V = eig.basis[..., None, :, :]
+    phases = np.exp(1j * times[:, None] * eig.eigenvalues[..., None, :])
+    return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def kron_sum(K: np.ndarray, m: int) -> np.ndarray:

@@ -4,8 +4,15 @@ Fock-space computation, packaged for both the test suite and the CLI
 applied by the caller.  ``run_verification`` frames the model once, at the
 run's resonance tolerance: the moment frame of M0 with the ``exact_series``
 that moment equivalence checks, and H0hat's partition.  Each check takes the
-frame it tests and builds none.  ``resonance_frame`` is the checks' dense
-moment frame, the d x d hI that ``perturbation.kappa12`` never builds.
+frame it tests and builds none.  The three sampled checks draw and check
+their random samples as stacks: the Heisenberg check all its Hamiltonians
+in one ``check_heisenberg_reduction`` call, the two law checks at most
+``STACK_ENTRIES`` entries' worth of samples per stack, so that their memory
+does not grow with the sample count.  Each draws from ``rng`` in the order
+of one sample at a time, and each residual is the largest over the samples,
+so the results do not depend on the stacking.  ``resonance_frame`` is the
+checks' dense moment frame, the d x d hI that ``perturbation.kappa12`` never
+builds.
 """
 
 from __future__ import annotations
@@ -43,8 +50,26 @@ MOMENT_EQUIVALENCE_GRID = TimeGrid(1.0, 2)
 STATIONARITY_PAIRS = ((0.2, 0.9), (1.3, 0.4))
 
 
-def random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+# matrix entries per stack of law-check samples: bounds the checks' memory
+# whatever the sample count
+STACK_ENTRIES = 2**11
+
+
+def random_complex(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
+    """Random complex dim x dim matrix, real part then imaginary part; for a
+    ``batch`` shape, a stack (*batch, dim, dim) of them, the same arrays as
+    one call per matrix in C order."""
+    z = rng.standard_normal((*batch, 2, dim, dim))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _sample_stacks(dim: int, k: int, samples: int, rng: np.random.Generator):
+    """``samples`` samples of k random complex dim x dim matrices each, as
+    stacks (k, c, dim, dim) of c <= max(1, STACK_ENTRIES // dim**2) samples,
+    drawn in the order of one ``random_complex`` call per matrix."""
+    c = max(1, STACK_ENTRIES // dim**2)
+    for start in range(0, samples, c):
+        yield random_complex(dim, rng, (min(c, samples - start), k)).swapaxes(0, 1)
 
 
 def random_valid_fermion(n: int, rng: np.random.Generator) -> FermionHamiltonian:
@@ -57,13 +82,9 @@ def random_valid_fermion(n: int, rng: np.random.Generator) -> FermionHamiltonian
 
 def heisenberg_reduction_residual(n: int, rng: np.random.Generator, samples: int = 5) -> float:
     """Heisenberg-matrix reduction against the Fock oracle on n modes, random
-    valid H, each checked at all HEISENBERG_TIMES in one call."""
-    rep = jordan_wigner(n)
-    return max(
-        (check_heisenberg_reduction(random_valid_fermion(n, rng), rep, HEISENBERG_TIMES)
-         for _ in range(samples)),
-        default=0.0,
-    )
+    valid H, all checked at all HEISENBERG_TIMES in one call."""
+    Hs = [random_valid_fermion(n, rng) for _ in range(samples)]
+    return check_heisenberg_reduction(Hs, jordan_wigner(n), HEISENBERG_TIMES)
 
 
 def _free_evolutions(part: ResonancePartition) -> np.ndarray:
@@ -79,16 +100,14 @@ def matrix_projector_law_residuals(
 ) -> dict:
     """Idempotency, commutation with free evolution, pulling, linearity, in
     the Kronecker-factored moment frame ``moment_partition``
-    (``free_moment_partition``).  Each sample projects the stack
-    [PX, U_1 X, U_2 X, alpha X + beta Y, Y] in one call; stacking all
-    samples would hold them all at once."""
+    (``free_moment_partition``), each the largest over ``samples`` random
+    pairs X, Y.  Each stack of samples (``STACK_ENTRIES``) is projected
+    twice: PX, then [PX, U_1 X, U_2 X, alpha X + beta Y, Y] in one call."""
     dim = moment_partition.decomposition.dim
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0, "linearity": 0.0}
-    Us = _free_evolutions(moment_partition)  # exp(-h0 t)
+    Us = _free_evolutions(moment_partition)[:, None]  # exp(-h0 t)
     alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
-    for _ in range(samples):
-        X = random_complex(dim, rng)
-        Y = random_complex(dim, rng)
+    for X, Y in _sample_stacks(dim, 2, samples, rng):
         PX = project_with(X, moment_partition)
         P = project_with(np.stack([PX, *(Us @ X), alpha * X + beta * Y, Y]), moment_partition)
         U_PX = Us @ PX
@@ -105,15 +124,15 @@ def matrix_projector_law_residuals(
 def superoperator_law_residuals(
     fock_partition: ResonancePartition, rng: np.random.Generator, samples: int = 10
 ) -> dict:
-    """Fock-level projection laws on random superoperators, with
-    ``fock_partition`` the resonance partition of H0hat and
-    U(t) = exp(i t H0hat) read off it; each sample takes two projections,
-    P(Phi) and then P([P Phi, F_1 Phi, F_2 Phi]) as one stack."""
+    """Fock-level projection laws on ``samples`` random superoperators Phi,
+    with ``fock_partition`` the resonance partition of H0hat and
+    U(t) = exp(i t H0hat) read off it.  Each stack of samples
+    (``STACK_ENTRIES``) takes two projections, P(Phi) and then
+    P([P Phi, F_1 Phi, F_2 Phi]) as one stack."""
     d = len(fock_partition.labels)
     res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0}
-    Fs = unitary_conjugation_superoperator(_free_evolutions(fock_partition))
-    for _ in range(samples):
-        Phi = random_complex(d * d, rng)
+    Fs = unitary_conjugation_superoperator(_free_evolutions(fock_partition))[:, None]
+    for (Phi,) in _sample_stacks(d * d, 1, samples, rng):
         PPhi = project_superoperator(Phi, fock_partition)
         P = project_superoperator(np.stack([PPhi, *(Fs @ Phi)]), fock_partition)
         F_PPhi = Fs @ PPhi

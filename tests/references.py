@@ -2,9 +2,11 @@
 used only by the tests: the spectral function phi of the second Dyson
 moment, the Dyson moments mu_k by closed form and by nested quadrature, the
 cumulants kappa_k assembled from quadrature moments, and the finite-time
-trapezoidal average.  The library evaluates the same quantities fast
-(``perturbation.kappa12``, ``projector.project``); these are the slow,
-independent forms they are checked against.
+trapezoidal average, and the projector-law checks one random sample at a
+time.  The library evaluates the same quantities fast
+(``perturbation.kappa12``, ``projector.project``, the stacked law checks of
+``verify``); these are the slow, independent forms they are checked
+against.
 
 The moments and cumulants work on the dense d x d interaction hI of
 ``verify.resonance_frame`` in the frame of ``projector.free_moment_partition``
@@ -21,10 +23,20 @@ import numpy as np
 from effheis import linalg
 from effheis.errors import DimensionMismatch, UnsupportedOrder
 from effheis.fermion import SplitHamiltonian
-from effheis.fock import jordan_wigner, quadratize
+from effheis.fock import (
+    jordan_wigner,
+    project_superoperator,
+    quadratize,
+    unitary_conjugation_superoperator,
+)
 from effheis.perturbation import SERIES_SWITCH, SERIES_TERMS
-from effheis.projector import DEFAULT_RESONANCE_TOL, free_moment_partition, resonance_partition
-from effheis.verify import resonance_frame
+from effheis.projector import (
+    DEFAULT_RESONANCE_TOL,
+    free_moment_partition,
+    project_with,
+    resonance_partition,
+)
+from effheis.verify import _free_evolutions, resonance_frame
 
 
 def dense_frame(split: SplitHamiltonian, m: int, tol: float = DEFAULT_RESONANCE_TOL):
@@ -193,3 +205,53 @@ def numeric_time_average(
     # (d, d, steps) array would hold every phase at once
     avg = np.array([np.trapezoid(np.exp(v * s_grid), s_grid) for v in partition.delta.ravel()]) / T
     return eig.from_eigenbasis(eig.to_eigenbasis(X) * avg.reshape(eig.dim, eig.dim))
+
+
+def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def matrix_law_residuals_by_sample(moment_partition, rng: np.random.Generator,
+                                   samples: int) -> dict:
+    """``verify.matrix_projector_law_residuals`` one sample at a time: each
+    sample draws X then Y and projects the stack
+    [PX, U_1 X, U_2 X, alpha X + beta Y, Y] on its own."""
+    dim = moment_partition.decomposition.dim
+    res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0, "linearity": 0.0}
+    Us = _free_evolutions(moment_partition)
+    alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
+    for _ in range(samples):
+        X = _random_complex(dim, rng)
+        Y = _random_complex(dim, rng)
+        PX = project_with(X, moment_partition)
+        P = project_with(np.stack([PX, *(Us @ X), alpha * X + beta * Y, Y]), moment_partition)
+        U_PX = Us @ PX
+        for name, r in (
+            ("idempotency", P[0] - PX),
+            ("commutation", PX @ Us - U_PX),
+            ("pulling", P[1:3] - U_PX),
+            ("linearity", P[3] - alpha * PX - beta * P[4]),
+        ):
+            res[name] = max(res[name], linalg.max_abs(r))
+    return res
+
+
+def superoperator_law_residuals_by_sample(fock_partition, rng: np.random.Generator,
+                                          samples: int) -> dict:
+    """``verify.superoperator_law_residuals`` one sample at a time: each
+    sample projects Phi, then the stack [P Phi, F_1 Phi, F_2 Phi]."""
+    d = len(fock_partition.labels)
+    res = {"idempotency": 0.0, "commutation": 0.0, "pulling": 0.0}
+    Fs = unitary_conjugation_superoperator(_free_evolutions(fock_partition))
+    for _ in range(samples):
+        Phi = _random_complex(d * d, rng)
+        PPhi = project_superoperator(Phi, fock_partition)
+        P = project_superoperator(np.stack([PPhi, *(Fs @ Phi)]), fock_partition)
+        F_PPhi = Fs @ PPhi
+        for name, r in (
+            ("idempotency", P[0] - PPhi),
+            ("commutation", PPhi @ Fs - F_PPhi),
+            ("pulling", P[1:] - F_PPhi),
+        ):
+            res[name] = max(res[name], linalg.max_abs(r))
+    return res

@@ -141,7 +141,7 @@ class TestHeisenbergMatrix:
     def test_fock_oracle_conjugation(self, rng):
         rep = jordan_wigner(2)
         H = random_valid_fermion(2, rng)
-        assert check_heisenberg_reduction(H, rep, 0.7) < 1e-10
+        assert check_heisenberg_reduction([H], rep, 0.7) < 1e-10
 
     def test_times_sequence_is_stack_of_scalar_calls(self, rng):
         H = random_valid_fermion(2, rng)
@@ -157,7 +157,7 @@ class TestHeisenbergMatrix:
         H = random_valid_fermion(2, rng)
         monkeypatch.setattr(fock, "heisenberg_matrix",
                             lambda H, t: eh.heisenberg_matrix(H, -np.asarray(t)))
-        assert check_heisenberg_reduction(H, rep, (0.3, 0.7)) > 1e-3
+        assert check_heisenberg_reduction([H], rep, (0.3, 0.7)) > 1e-3
 
 
 class TestMomentGenerator:

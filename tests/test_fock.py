@@ -23,13 +23,21 @@ from effheis.projector import (
     resonance_partition,
 )
 from effheis.verify import (
+    HEISENBERG_TIMES,
+    STACK_ENTRIES,
+    heisenberg_reduction_residual,
     matrix_projector_law_residuals,
     moment_equivalence_residual,
     random_complex,
     random_valid_fermion,
     run_verification,
+    superoperator_law_residuals,
 )
-from references import fock_frame
+from references import (
+    fock_frame,
+    matrix_law_residuals_by_sample,
+    superoperator_law_residuals_by_sample,
+)
 
 
 class TestJordanWigner:
@@ -528,6 +536,65 @@ class TestMatrixLawsOnFactoredFrame:
             assert expm_calls == []
 
 
+def diagonal_split(n):
+    return eh.SplitHamiltonian(
+        base=eh.diagonal_modes([1.0, 1.7, 2.3][:n]), interaction=eh.hopping(n, 1, 2, 0.1),
+        coupling=0.1,
+    )
+
+
+# the frames the law checks are tested in: matrix laws on the moment frame of
+# a diagonal H0 at d = 4, 16, 36 and of a rotated one (V1 != I) at d = 16,
+# superoperator laws on H0hat's partition at n = 2 and 3
+LAW_FRAMES = {
+    "matrix-d4": lambda: free_moment_partition(diagonal_split(2), 1),
+    "matrix-d16": lambda: free_moment_partition(diagonal_split(2), 2),
+    "matrix-d36": lambda: free_moment_partition(diagonal_split(3), 2),
+    "matrix-d16-rotated": lambda: free_moment_partition(law_splits(2)[0], 2),
+    "fock-n2": lambda: fock_frame(diagonal_split(2)),
+    "fock-n3": lambda: fock_frame(diagonal_split(3)),
+}
+
+
+def law_check(frame: str):
+    """The law check that runs on ``frame``, its one-sample-at-a-time
+    reference, the frame, and the dimension of one random sample."""
+    part = LAW_FRAMES[frame]()
+    if frame.startswith("fock"):
+        return (superoperator_law_residuals, superoperator_law_residuals_by_sample, part,
+                len(part.labels) ** 2)
+    return (matrix_projector_law_residuals, matrix_law_residuals_by_sample, part,
+            part.decomposition.dim)
+
+
+class TestStackedLawChecks:
+    @pytest.mark.parametrize("frame", LAW_FRAMES)
+    def test_equal_to_one_sample_at_a_time(self, frame):
+        # a stack holds c samples; sample counts around c cover an empty, a
+        # partial, a full and a full-plus-partial run of stacks
+        check, reference, part, dim = law_check(frame)
+        c = max(1, STACK_ENTRIES // dim**2)
+        for samples in (0, 1, c - 1, c, c + 1, 20):
+            got = check(part, np.random.default_rng(samples), samples=samples)
+            assert got == reference(part, np.random.default_rng(samples), samples=samples), samples
+
+    @pytest.mark.parametrize("frame", ["matrix-d16", "fock-n2"])
+    def test_peak_bounded_in_samples(self, frame):
+        # one stack of samples is held at a time, so 200 samples peak where
+        # 20 do; all 200 in one stack would peak about ten times higher
+        check, _, part, _ = law_check(frame)
+        check(part, np.random.default_rng(0), samples=20)
+        peaks = []
+        for samples in (20, 200):
+            tracemalloc.start()
+            try:
+                check(part, np.random.default_rng(0), samples=samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 class TestLargeFrequencies:
     """The law checks read their free evolutions off eigendecompositions, so
     only the moment-equivalence exponential exp(i Hhat t) at t = 1 caps
@@ -554,8 +621,8 @@ class TestLargeFrequencies:
 
 class TestMemory:
     def test_run_verification_peak(self):
-        # each law sample projects its own stack; stacking every sample at
-        # once would raise this peak
+        # the law checks project their samples in stacks of bounded size;
+        # stacking every sample at once would raise this peak
         split = eh.SplitHamiltonian(
             base=eh.diagonal_modes([1.0, 1.7, 2.3]),
             interaction=random_valid_fermion(3, np.random.default_rng(5)),
@@ -573,27 +640,39 @@ class TestMemory:
 
 class TestCheckHeisenbergReduction:
     def test_diagonal_hamiltonian(self):
-        res = check_heisenberg_reduction(eh.diagonal_modes([1.0, 2.0]), jordan_wigner(2), 0.9)
+        res = check_heisenberg_reduction([eh.diagonal_modes([1.0, 2.0])], jordan_wigner(2), 0.9)
         assert res < 1e-12
 
     def test_random_hamiltonians(self, rng):
         rep = jordan_wigner(2)
         for _ in range(5):
-            assert check_heisenberg_reduction(random_valid_fermion(2, rng), rep, 0.7) < 1e-10
+            assert check_heisenberg_reduction([random_valid_fermion(2, rng)], rep, 0.7) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sequence_is_largest_single_call(self, n):
+        rep, rng = jordan_wigner(n), np.random.default_rng(n)
+        Hs = [random_valid_fermion(n, rng) for _ in range(5)]
+        want = max(check_heisenberg_reduction([H], rep, HEISENBERG_TIMES) for H in Hs)
+        assert check_heisenberg_reduction(Hs, rep, HEISENBERG_TIMES) == want
+        assert heisenberg_reduction_residual(n, np.random.default_rng(n)) == want
+        assert check_heisenberg_reduction([], rep, HEISENBERG_TIMES) == 0.0
 
     def test_mode_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            check_heisenberg_reduction(eh.diagonal_modes([1.0]), jordan_wigner(2), 0.5)
+            check_heisenberg_reduction([eh.diagonal_modes([1.0])], jordan_wigner(2), 0.5)
         with pytest.raises(DimensionMismatch):
-            check_heisenberg_reduction(eh.diagonal_modes([1.0]), jordan_wigner(2), (0.5, 1.0))
+            check_heisenberg_reduction([eh.diagonal_modes([1.0])], jordan_wigner(2), (0.5, 1.0))
+        with pytest.raises(DimensionMismatch):
+            check_heisenberg_reduction([eh.diagonal_modes([1.0, 2.0]), eh.diagonal_modes([1.0])],
+                                       jordan_wigner(2), 0.5)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_times_match_scalar_calls(self, rng, n):
         rep, times = jordan_wigner(n), (0.3, 1.0, 2.5)
         for _ in range(3):
             H = random_valid_fermion(n, rng)
-            want = max(check_heisenberg_reduction(H, rep, t) for t in times)
-            assert abs(check_heisenberg_reduction(H, rep, times) - want) <= 1e-15
+            want = max(check_heisenberg_reduction([H], rep, t) for t in times)
+            assert abs(check_heisenberg_reduction([H], rep, times) - want) <= 1e-15
 
     def test_overflow_above_cap(self):
         # three equal modes: max_abs(Hhat) = 1.5 against max_abs(E H) = 1, so
@@ -602,6 +681,6 @@ class TestCheckHeisenbergReduction:
         t = 1.01 * linalg.EXP_NORM_CAP / linalg.max_abs(quadratize(H, rep))
         assert t * linalg.max_abs(H.single_particle_generator()) < linalg.EXP_NORM_CAP
         with pytest.raises(Overflow):
-            check_heisenberg_reduction(H, rep, (0.3, t))
+            check_heisenberg_reduction([H], rep, (0.3, t))
         with pytest.raises(Overflow):
-            check_heisenberg_reduction(H, rep, -t)
+            check_heisenberg_reduction([H], rep, -t)

@@ -131,6 +131,26 @@ class TestUnitaryPropagators:
         with pytest.raises(NotHermitian):
             linalg.unitary_propagators(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0])
 
+    def test_stack_matches_per_matrix_calls(self, rng):
+        Ms = np.array([[random_hermitian(5, rng) for _ in range(3)] for _ in range(2)])
+        times = (-1.3, 0.0, 0.4, 2.5)
+        got = linalg.unitary_propagators(Ms, times)
+        assert got.shape == (2, 3, 4, 5, 5)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(got[idx], linalg.unitary_propagators(Ms[idx], times))
+
+    def test_stack_checks_every_matrix(self, rng):
+        Ms = np.array([random_hermitian(3, rng) for _ in range(3)])
+        linalg.unitary_propagators(Ms, [1.0])
+        bad = Ms.copy()
+        bad[1, 0, 1] += 1.0
+        with pytest.raises(NotHermitian):
+            linalg.unitary_propagators(bad, [1.0])
+        big = Ms.copy()
+        big[2] *= 1.01 * linalg.EXP_NORM_CAP / linalg.max_abs(big[2])
+        with pytest.raises(Overflow):
+            linalg.unitary_propagators(big, [1.0])
+
 
 class TestKronSandwich:
     @pytest.mark.parametrize("na, nb", [(1, 3), (2, 3), (4, 4)])
